@@ -22,8 +22,8 @@
     [ns] (namespace) string given to [memo] must uniquely determine the
     stored type, and {!format_version} / the caller's own version
     component of the key must be bumped whenever a stored type or the
-    semantics producing it change. All callers in this repository go
-    through {!Core.Analyze}, which keys on
+    semantics producing it change. All keys in this repository come
+    from [Core.Key], which keys on
     (image, netlist, config, analysis version). *)
 
 module Key : sig

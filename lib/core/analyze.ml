@@ -42,23 +42,13 @@ let c_gates = Telemetry.Counter.make "engine.gates_total"
 
 (* The specialization depends only on the netlist and the reset
    protocol (not on the program image), so one result serves every
-   analysis over a CPU — memoized by netlist identity, exactly like the
-   digest memos in [Static.Blockchar]. A concurrent recompute from a
-   pool worker is harmless (last write wins, same result). *)
-let spec_memo : (Netlist.t * Netlist.Specialize.t) option ref = ref None
-
-let specialization_for cpu =
-  let nl = cpu.Cpu.netlist in
-  match !spec_memo with
-  | Some (nl', sp) when nl' == nl -> sp
-  | _ ->
-    let sp =
+   analysis over a CPU — memoized by CPU identity, like the digests in
+   [Key]. *)
+let specialization_for =
+  Key.identity_memo (fun cpu ->
       Telemetry.span "specialize" @@ fun () ->
-      Netlist.Specialize.compute nl
-        ~reset:cpu.Cpu.ports.Gatesim.Engine.reset
-    in
-    spec_memo := Some (nl, sp);
-    sp
+      Netlist.Specialize.compute cpu.Cpu.netlist
+        ~reset:cpu.Cpu.ports.Gatesim.Engine.reset)
 
 (* Membership test for folded nets, computed regardless of whether the
    engines run specialized — [Explain] labels folded gates as a
@@ -87,46 +77,6 @@ let engine_for ?(specialize = true) cpu image ~symbolic =
   if not symbolic then Gatesim.Engine.set_port_in e (Array.make 16 Tri.Zero);
   e
 
-(* ---------------- cache keys ----------------
-
-   Every analysis is deterministic in (netlist+ports, image, config) for
-   Algorithm 1 and additionally the power context for the Section
-   3.2/3.3 computations, so results are content-addressed by digests of
-   exactly those inputs plus [analysis_version] — bump the version
-   whenever analysis semantics change, and old entries become misses. *)
-
-(* 2: compiled gate-evaluation kernel — dedup digests switched from MD5
-   serialization to incremental Zobrist hashes, so cached trees from
-   version 1 reference stale digest strings. *)
-let analysis_version = 2
-
-let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
-
-(* Tier-2 key: the execution tree does not depend on the power context
-   or the loop bound, so reruns that only change those reuse it. *)
-let tree_key ?(version = analysis_version) config cpu (image : Isa.Asm.image) =
-  Cache.Key.combine
-    [
-      "symtree";
-      string_of_int version;
-      digest_of (cpu.Cpu.netlist, cpu.Cpu.ports);
-      digest_of image;
-      string_of_int config.revisit_limit;
-      string_of_int config.max_paths;
-      string_of_int config.max_cycles_per_path;
-    ]
-
-(* Tier-1 key: the whole analysis result. *)
-let cache_key ?(version = analysis_version) ~config pa cpu image =
-  Cache.Key.combine
-    [
-      "analysis";
-      string_of_int version;
-      tree_key ~version config cpu image;
-      digest_of pa;
-      string_of_int config.loop_bound;
-    ]
-
 (* Symbolic analysis: Algorithm 1 then the Section 3.2/3.3
    computations. [pool] defaults to the ambient pool (see [Parallel]);
    results are bit-identical at any job count, and — because cached
@@ -136,7 +86,10 @@ let cache_key ?(version = analysis_version) ~config pa cpu image =
    [specialize] (default on) only selects the engine's compiled program;
    trees, digests and bounds are bit-identical either way (the
    differential suite enforces it), so it deliberately does NOT enter
-   the cache keys — cached entries are shared across modes. *)
+   the cache keys — cached entries are shared across modes.
+
+   The keys come from [Key]: the tree key once per call, and the
+   Algorithm 2 base key only when the analysis itself misses. *)
 let run ?(config = default_config) ?pool ?cache ?specialize pa cpu
     (image : Isa.Asm.image) =
   Telemetry.span "analyze" @@ fun () ->
@@ -182,14 +135,19 @@ let run ?(config = default_config) ?pool ?cache ?specialize pa cpu
   match cache with
   | None -> compute ~tree_memo:(fun f -> f ()) ~algo_cache:None ()
   | Some c ->
-    let tkey = tree_key config cpu image in
-    (* the peak power/energy memos hang off the tree + power context;
-       Peak_energy appends the loop bound itself *)
-    let pkey = Cache.Key.combine [ tkey; digest_of pa ] in
-    Cache.memo c ~ns:"analysis" ~key:(cache_key ~config pa cpu image)
-      (compute
-         ~tree_memo:(fun f -> Cache.memo c ~ns:"symtree" ~key:tkey f)
-         ~algo_cache:(Some (c, pkey)))
+    let tree =
+      Key.tree ~revisit_limit:config.revisit_limit ~max_paths:config.max_paths
+        ~max_cycles_per_path:config.max_cycles_per_path cpu image
+    in
+    Cache.memo c ~ns:"analysis"
+      ~key:(Key.analysis ~tree pa ~loop_bound:config.loop_bound)
+      (fun () ->
+        (* the peak power/energy memos hang off the tree + power
+           context; Peak_energy appends the loop bound itself *)
+        compute
+          ~tree_memo:(fun f -> Cache.memo c ~ns:"symtree" ~key:tree f)
+          ~algo_cache:(Some (c, Key.algorithm2 ~tree pa))
+          ())
 
 (* Symbolic execution of a program fragment: boot the machine with the
    reset vector pointed at [entry] and explore until [is_end]. Because

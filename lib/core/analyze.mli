@@ -32,7 +32,7 @@ val poweran_for : ?lib:Stdcell.t -> ?period:float -> Cpu.t -> Poweran.t
 
     {!Netlist.Specialize} depends only on the netlist and the reset
     protocol, so one result serves every analysis over a CPU; it is
-    memoized by netlist identity and computed under a ["specialize"]
+    memoized by CPU identity ({!Key.identity_memo}) and computed under a ["specialize"]
     telemetry span. Engines take it via the [?specialize] flags below
     (default on); trees, digests and bounds are bit-identical with it on
     or off, which is why the flag does not enter cache keys. *)
@@ -46,32 +46,12 @@ val specialization_for : Cpu.t -> Netlist.Specialize.t
     with specialization on or off. *)
 val folded_pred : Cpu.t -> int -> bool
 
-(** {1 Caching}
-
-    Analyses are deterministic in (netlist, image, config, power
-    context), so results are content-addressed. Keys always include
-    {!analysis_version}; bump it when analysis semantics change and
-    stale entries become misses. *)
-
-(** Version component of every cache key. *)
-val analysis_version : int
-
-(** Tier-2 key: Algorithm 1's execution tree, which depends on the
-    netlist/ports, the image and the exploration knobs — but not on the
-    power context or [loop_bound], so those can change and still reuse
-    the tree. *)
-val tree_key : ?version:int -> config -> Cpu.t -> Isa.Asm.image -> Cache.Key.t
-
-(** Tier-1 key: the whole analysis result. *)
-val cache_key :
-  ?version:int -> config:config -> Poweran.t -> Cpu.t -> Isa.Asm.image -> Cache.Key.t
-
 (** [run pa cpu image] — Algorithm 1 (symbolic execution) followed by
     the Section 3.2/3.3 computations. [pool] (default: the ambient
     {!Parallel.auto} pool) parallelizes the tree exploration; the result
     is bit-identical at any job count. With [cache], the whole result,
     the execution tree, and the per-algorithm computations are memoized
-    (memory LRU + optional disk) under the keys above; cached results
+    (memory LRU + optional disk) under the {!Key} keys; cached results
     are bit-identical to fresh ones. *)
 val run :
   ?config:config ->

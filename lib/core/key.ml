@@ -1,0 +1,68 @@
+(* Every content key of both tiers. See key.mli. *)
+
+type t = Cache.Key.t
+
+(* 2: compiled gate-evaluation kernel — dedup digests switched from MD5
+   serialization to incremental Zobrist hashes, so cached trees from
+   version 1 reference stale digest strings. *)
+let analysis_version = 2
+let static_version = 1
+
+(* Four entries: the CPU or power contexts a process keeps live at once
+   (two power contexts in [Report.Context]) plus room for a transient
+   one, without a scan worth measuring. Hits never write, so readers on
+   other domains do not contend. *)
+let identity_memo f =
+  let entries = Atomic.make [] in
+  fun v ->
+    let seen = Atomic.get entries in
+    match List.assq_opt v seen with
+    | Some d -> d
+    | None ->
+      let d = f v in
+      Atomic.set entries ((v, d) :: List.filteri (fun i _ -> i < 3) seen);
+      d
+
+let cpu =
+  identity_memo (fun (cpu : Cpu.t) ->
+      Cache.Key.of_value (cpu.Cpu.netlist, cpu.Cpu.ports))
+
+let poweran = identity_memo (fun (pa : Poweran.t) -> Cache.Key.of_value pa)
+
+let tree ?(version = analysis_version) ~revisit_limit ~max_paths
+    ~max_cycles_per_path c (image : Isa.Asm.image) =
+  Cache.Key.combine
+    [
+      "symtree";
+      string_of_int version;
+      cpu c;
+      Cache.Key.of_value image;
+      string_of_int revisit_limit;
+      string_of_int max_paths;
+      string_of_int max_cycles_per_path;
+    ]
+
+let analysis ?(version = analysis_version) ~tree pa ~loop_bound =
+  Cache.Key.combine
+    [
+      "analysis";
+      string_of_int version;
+      tree;
+      poweran pa;
+      string_of_int loop_bound;
+    ]
+
+let algorithm2 ~tree pa = Cache.Key.combine [ tree; poweran pa ]
+
+let block ~max_cycles_per_path ~max_paths pa c (img : Isa.Asm.image) ~start
+    ~limit ~term =
+  Cache.Key.combine
+    [
+      string_of_int static_version;
+      string_of_int analysis_version;
+      string_of_int max_cycles_per_path;
+      string_of_int max_paths;
+      cpu c;
+      poweran pa;
+      Cache.Key.of_value (img.Isa.Asm.words, start, limit, term);
+    ]

@@ -23,7 +23,7 @@ exception Unbounded of string
 
 (** [of_tree ?cache pa tree ~loop_bound] — with [cache = (c, key)],
     the result is memoized in [c]; [key] must cover the tree's inputs
-    and the power context (see {!Analyze.cache_key}), and this module
+    and the power context (see {!Key.algorithm2}), and this module
     appends [loop_bound] itself — so reruns that only change the loop
     bound reuse the same execution tree. *)
 val of_tree :

@@ -18,5 +18,5 @@ val of_cycles : Poweran.t -> Gatesim.Trace.cycle array -> result
 (** [of_tree ?cache pa tree] — with [cache = (c, key)], the result is
     memoized in [c] under [key]; the caller must derive [key] from
     everything the result depends on (the tree's inputs and the power
-    context — see {!Analyze.cache_key}). *)
+    context — see {!Key.algorithm2}). *)
 val of_tree : ?cache:Cache.t * Cache.Key.t -> Poweran.t -> Gatesim.Trace.tree -> result

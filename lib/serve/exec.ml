@@ -37,11 +37,25 @@ let find_bench name =
            available = List.map (fun b -> b.Benchprogs.Bench.name) all_benches;
          })
 
+(* A failure no caller is waiting for is counted and reported on
+   stderr, never dropped. *)
+let report_failure counter ~what e =
+  Telemetry.Counter.incr counter;
+  Printf.eprintf "xbound serve: %s failed: %s\n%!" what (Printexc.to_string e)
+
+let c_background_errors = Telemetry.Counter.make "serve.background_errors"
+
+let detach ~what f =
+  Thread.create
+    (fun () -> try f () with e -> report_failure c_background_errors ~what e)
+    ()
+
 (* Auto tier under a long-lived server: when the immediate answer came
    from the static tier (the facade found exact escalation infeasible or
    failing), still attempt the exact tier on a detached thread so the
    shared cache warms up for later requests. The attempt self-limits via
-   the benchmark's [max_paths]; its result (or failure) is discarded. *)
+   the benchmark's [max_paths]; its typed result is discarded, and an
+   exception is reported by [detach]. *)
 let warm_exact_in_background ~ctx ~requested program (a : Xbound.analysis) =
   if
     requested = Xbound.Tier.Auto
@@ -49,15 +63,11 @@ let warm_exact_in_background ~ctx ~requested program (a : Xbound.analysis) =
     && Option.is_some ctx.Xbound.Ctx.cache
   then
     ignore
-      (Thread.create
-         (fun () ->
-           try
-             ignore
-               (Xbound.analyze
-                  ~ctx:{ ctx with Xbound.Ctx.tier = Xbound.Tier.Exact }
-                  program)
-           with _ -> ())
-         ())
+      (detach ~what:"background exact warm-up" (fun () ->
+           ignore
+             (Xbound.analyze
+                ~ctx:{ ctx with Xbound.Ctx.tier = Xbound.Tier.Exact }
+                program)))
 
 let analyze ~ctx bench tier =
   let ctx = { ctx with Xbound.Ctx.tier } in

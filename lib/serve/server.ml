@@ -388,11 +388,17 @@ let rec accept_loop t =
        accept loop is over. *)
     ()
 
+let c_executor_errors = Telemetry.Counter.make "serve.executor_errors"
+
+(* [execute] already turns an analysis exception into an error response;
+   whatever still escapes a job (logging, sending) is counted, and the
+   executor goes on to the next job. *)
 let rec executor_loop sched =
   match Scheduler.next sched with
   | None -> ()
   | Some job ->
-    (try job.Scheduler.run () with _ -> ());
+    (try job.Scheduler.run ()
+     with e -> Exec.report_failure c_executor_errors ~what:"request executor" e);
     executor_loop sched
 
 (* ---------------- start / stop ---------------- *)

@@ -35,7 +35,10 @@
     bounded) unless one is already installed. Counters:
     [serve.requests] (scheduler work only), [serve.admin_requests],
     [serve.rejected], [serve.connections], [serve.protocol_errors],
-    [serve.traces_sampled], [serve.tier.<tier>]. Histograms:
+    [serve.traces_sampled], [serve.tier.<tier>], and the two failure
+    counts [serve.executor_errors] (an exception escaped a job; see
+    {!executor_loop}) and [serve.background_errors] (see
+    {!Exec.detach}). Histograms:
     [serve.queue_depth] (depth seen at admission), [serve.queue_wait_ns]
     (admission to execution start), [serve.exec_ns] (execution only),
     [serve.latency_ns] (admission to response written). Gauges:
@@ -84,6 +87,12 @@ type t
     human-readable reason (address in use, permission, unwritable
     access-log path...). *)
 val start : config -> (t, string) Stdlib.result
+
+(** [executor_loop sched] — one executor thread's body: run jobs from
+    [sched] until it stops. A job that raises is counted in
+    [serve.executor_errors] and reported on stderr, and the loop goes on
+    with the next job. *)
+val executor_loop : Scheduler.t -> unit
 
 (** The bound address (as configured). *)
 val addr : t -> Addr.t

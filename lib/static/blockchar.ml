@@ -11,7 +11,6 @@ type cost = {
   from_cache : bool;
 }
 
-let static_version = 1
 let cache_ns = "block"
 
 let is_end_of_block (b : Cfg.block) (cy : Gatesim.Trace.cycle) =
@@ -90,42 +89,6 @@ let compute ?pool ?specialize ~max_cycles_per_path ~max_paths pa cpu img
     let e, c, pk = walk pa root in
     (e, c, pk, 0.0, 0, 0.0)
 
-(* Digesting the elaborated netlist and the power model dominates a
-   cache-hit characterization (milliseconds each), and both are
-   invariant across the blocks of one analysis — and, in a long-lived
-   process like `xbound serve`, across analyses. Memoize the digest by
-   physical identity; a concurrent recompute is harmless (last write
-   wins, same digest). *)
-let identity_memo (digest : 'a -> string) =
-  let last = ref None in
-  fun (v : 'a) ->
-    match !last with
-    | Some (v', d) when v' == v -> d
-    | _ ->
-      let d = digest v in
-      last := Some (v, d);
-      d
-
-let cpu_digest =
-  identity_memo (fun (cpu : Cpu.t) ->
-      Cache.Key.of_value (cpu.Cpu.netlist, cpu.Cpu.ports))
-
-let pa_digest = identity_memo (fun (pa : Poweran.t) -> Cache.Key.of_value pa)
-
-let key ~max_cycles_per_path ~max_paths pa cpu (img : Isa.Asm.image)
-    (b : Cfg.block) =
-  Cache.Key.combine
-    [
-      string_of_int static_version;
-      string_of_int Core.Analyze.analysis_version;
-      string_of_int max_cycles_per_path;
-      string_of_int max_paths;
-      cpu_digest cpu;
-      pa_digest pa;
-      Cache.Key.of_value
-        (img.Isa.Asm.words, b.Cfg.b_start, b.Cfg.b_limit, b.Cfg.b_term);
-    ]
-
 let characterize ?cache ?pool ?specialize ?(max_cycles_per_path = 4096)
     ?(max_paths = 64) pa cpu img b =
   Telemetry.span "blockchar" @@ fun () ->
@@ -138,7 +101,10 @@ let characterize ?cache ?pool ?specialize ?(max_cycles_per_path = 4096)
     match cache with
     | None -> run ()
     | Some c ->
-      let key = key ~max_cycles_per_path ~max_paths pa cpu img b in
+      let key =
+        Core.Key.block ~max_cycles_per_path ~max_paths pa cpu img
+          ~start:b.Cfg.b_start ~limit:b.Cfg.b_limit ~term:b.Cfg.b_term
+      in
       Cache.memo c ~ns:cache_ns ~key run
   in
   {

@@ -14,8 +14,8 @@
     program entry, not per block.
 
     Results are content-addressed in {!Cache} under the ["block"]
-    namespace, keyed on the netlist, the power context, the image words
-    and the block extent — so re-analyzing a program (or any program
+    namespace, keyed ({!Core.Key.block}) on the netlist, the power
+    context, the image words and the block extent — so re-analyzing a program (or any program
     sharing the image) reuses block characterizations. *)
 
 type cost = {
@@ -27,10 +27,6 @@ type cost = {
   boot_cycles : int;
   from_cache : bool;
 }
-
-(** Version component of every ["block"] cache key; bump when the
-    characterization semantics change. *)
-val static_version : int
 
 (** The ["block"] cache namespace. *)
 val cache_ns : string

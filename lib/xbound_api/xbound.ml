@@ -6,13 +6,13 @@ module Bound = struct
   type t = { value : float; tier : Tier.t; analysis_version : int }
 
   let exact value =
-    { value; tier = Tier.Exact; analysis_version = Core.Analyze.analysis_version }
+    { value; tier = Tier.Exact; analysis_version = Core.Key.analysis_version }
 
   let static value =
     {
       value;
       tier = Tier.Static;
-      analysis_version = Core.Analyze.analysis_version;
+      analysis_version = Core.Key.analysis_version;
     }
 end
 
@@ -236,15 +236,24 @@ let bench bname =
     (find_bench bname)
 
 (* The processor is elaborated once per process and shared; elaboration
-   failures surface as Error.Netlist on every call. *)
-let env =
+   failures surface as Error.Netlist on every call. The first force runs
+   under a mutex: daemon executor threads that race for it would
+   otherwise see the lazy mid-evaluation and raise
+   [CamlinternalLazy.Undefined]. *)
+let env_lazy =
   lazy
     (Telemetry.span "elaborate" @@ fun () ->
      let cpu = Cpu.build () in
      (cpu, Core.Analyze.poweran_for cpu))
 
+let env_m = Mutex.create ()
+
+(* No [Lazy.is_val] fast path: it is already true while another thread
+   is still forcing. *)
+let env () = Mutex.protect env_m (fun () -> Lazy.force env_lazy)
+
 let with_env f =
-  match Lazy.force env with
+  match env () with
   | cpu, pa -> f cpu pa
   | exception Netlist.Combinational_loop _ ->
     Error (Error.Netlist "combinational loop in the elaborated netlist")
@@ -448,7 +457,7 @@ let cois ?(top = 4) ?(min_gap = 5) a =
   match a.detail with
   | Static_detail _ -> []
   | Exact_detail raw -> (
-    match Lazy.force env with
+    match env () with
     | _, pa -> Core.Analyze.cois ~top ~min_gap pa raw
     | exception _ -> [])
 
@@ -466,7 +475,7 @@ let explain ?ctx ?(top = 4) ?(min_gap = 5) a =
     let ctx = Option.value ctx ~default:Ctx.default in
     in_ctx ctx @@ fun () ->
     (* [a] exists, so the environment was already elaborated. *)
-    let cpu, pa = Lazy.force env in
+    let cpu, pa = env () in
     (* [folded] is passed regardless of [ctx.specialize] — the class
        labeling comes from the netlist analysis, not the engine mode, so
        reports are byte-identical with specialization on or off. *)

@@ -56,41 +56,119 @@ let result_digest (a : Core.Analyze.t) =
 
 (* ---------------- key discipline ---------------- *)
 
+let tree_key ?version config cpu img =
+  Core.Key.tree ?version ~revisit_limit:config.Core.Analyze.revisit_limit
+    ~max_paths:config.Core.Analyze.max_paths
+    ~max_cycles_per_path:config.Core.Analyze.max_cycles_per_path cpu img
+
+let cache_key ?version ~config pa cpu img =
+  Core.Key.analysis ?version
+    ~tree:(tree_key ?version config cpu img)
+    pa ~loop_bound:config.Core.Analyze.loop_bound
+
 let test_key_perturbation () =
   let cpu, pa = Lazy.force env in
   let img = image 25 in
-  let tk = Core.Analyze.tree_key config cpu img in
-  let ck = Core.Analyze.cache_key ~config pa cpu img in
+  let tk = tree_key config cpu img in
+  let ck = cache_key ~config pa cpu img in
   (* flipping one immediate in the binary changes both key tiers *)
   let img' = image 26 in
   Alcotest.(check bool)
     "binary flip changes tree key" true
-    (tk <> Core.Analyze.tree_key config cpu img');
+    (tk <> tree_key config cpu img');
   Alcotest.(check bool)
     "binary flip changes cache key" true
-    (ck <> Core.Analyze.cache_key ~config pa cpu img');
+    (ck <> cache_key ~config pa cpu img');
   (* loop_bound is an Algorithm 2 knob: the exploration (tree) key must
      NOT move, the whole-analysis key must *)
   let config' = { config with Core.Analyze.loop_bound = 8 } in
   Alcotest.(check string)
     "loop_bound keeps the tree key" tk
-    (Core.Analyze.tree_key config' cpu img);
+    (tree_key config' cpu img);
   Alcotest.(check bool)
     "loop_bound changes the cache key" true
-    (ck <> Core.Analyze.cache_key ~config:config' pa cpu img);
+    (ck <> cache_key ~config:config' pa cpu img);
   (* an exploration knob moves both *)
   let config'' = { config with Core.Analyze.max_paths = 65 } in
   Alcotest.(check bool)
     "max_paths changes the tree key" true
-    (tk <> Core.Analyze.tree_key config'' cpu img);
+    (tk <> tree_key config'' cpu img);
   (* bumping the code version invalidates everything *)
-  let v = Core.Analyze.analysis_version + 1 in
+  let v = Core.Key.analysis_version + 1 in
   Alcotest.(check bool)
     "version bump changes the tree key" true
-    (tk <> Core.Analyze.tree_key ~version:v config cpu img);
+    (tk <> tree_key ~version:v config cpu img);
   Alcotest.(check bool)
     "version bump changes the cache key" true
-    (ck <> Core.Analyze.cache_key ~version:v ~config pa cpu img)
+    (ck <> cache_key ~version:v ~config pa cpu img)
+
+(* Every memoized key equals its formula over plain [Cache.Key.of_value]
+   digests computed from scratch — the formulas existing disk caches
+   were written under. Asked twice, so the second answer comes from the
+   identity memo. *)
+let test_key_formulas () =
+  let cpu, pa = Lazy.force env in
+  let img = image 25 in
+  let d = Cache.Key.of_value and i = string_of_int in
+  let cpu_d = d (cpu.Cpu.netlist, cpu.Cpu.ports) and pa_d = d pa in
+  let tree =
+    Cache.Key.combine
+      [
+        "symtree";
+        i Core.Key.analysis_version;
+        cpu_d;
+        d img;
+        i config.Core.Analyze.revisit_limit;
+        i config.Core.Analyze.max_paths;
+        i config.Core.Analyze.max_cycles_per_path;
+      ]
+  in
+  let analysis =
+    Cache.Key.combine
+      [
+        "analysis";
+        i Core.Key.analysis_version;
+        tree;
+        pa_d;
+        i config.Core.Analyze.loop_bound;
+      ]
+  in
+  for _ = 1 to 2 do
+    Alcotest.(check string) "cpu digest" cpu_d (Core.Key.cpu cpu);
+    Alcotest.(check string) "power digest" pa_d (Core.Key.poweran pa);
+    Alcotest.(check string) "tree key" tree (tree_key config cpu img);
+    Alcotest.(check string) "analysis key" analysis
+      (cache_key ~config pa cpu img);
+    Alcotest.(check string) "algorithm 2 key"
+      (Cache.Key.combine [ tree; pa_d ])
+      (Core.Key.algorithm2 ~tree pa)
+  done
+
+(* The default and the msp430f1610 power contexts over one CPU, live at
+   once and used in turn as Report.Context does: each keeps its own
+   digest, and neither evicts the other from the memo. *)
+let test_key_two_contexts () =
+  let cpu, pa = Lazy.force env in
+  let pa_f =
+    Core.Analyze.poweran_for ~lib:Stdcell.msp430f1610 ~period:125e-9 cpu
+  in
+  let d = Cache.Key.of_value pa and d_f = Cache.Key.of_value pa_f in
+  Alcotest.(check bool) "contexts differ" true (d <> d_f);
+  for _ = 1 to 3 do
+    Alcotest.(check string) "default context" d (Core.Key.poweran pa);
+    Alcotest.(check string) "f1610 context" d_f (Core.Key.poweran pa_f)
+  done;
+  let calls = ref 0 in
+  let memo = Core.Key.identity_memo (fun p -> incr calls; Cache.Key.of_value p) in
+  for _ = 1 to 3 do
+    Alcotest.(check string) "memo default" d (memo pa);
+    Alcotest.(check string) "memo f1610" d_f (memo pa_f)
+  done;
+  Alcotest.(check int) "each context digested once" 2 !calls;
+  (* identity, not equality: an equal copy is a different value *)
+  let copy = Marshal.from_string (Marshal.to_string pa []) 0 in
+  Alcotest.(check string) "copy digest" d (memo copy);
+  Alcotest.(check int) "copy digested on its own" 3 !calls
 
 let test_memo_hit_miss () =
   let c = Cache.create () in
@@ -236,6 +314,8 @@ let () =
       ( "keys",
         [
           Alcotest.test_case "perturbation" `Quick test_key_perturbation;
+          Alcotest.test_case "formulas" `Quick test_key_formulas;
+          Alcotest.test_case "two power contexts" `Quick test_key_two_contexts;
           Alcotest.test_case "hit/miss" `Quick test_memo_hit_miss;
           Alcotest.test_case "exception" `Quick test_exception_not_stored;
         ] );

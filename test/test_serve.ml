@@ -411,6 +411,38 @@ let test_scheduler_admission () =
   checkb "stopped next" true (Serve.Scheduler.next s = None);
   checkb "stopped submit" true (Result.is_error (submit Wire.Interactive))
 
+(* ---------------- failures nobody waits for ---------------- *)
+
+let counter name = Telemetry.Counter.value (Telemetry.Counter.make name)
+
+(* An exception in a detached background thread or in an executor's job
+   is counted (and reported on stderr), and the executor survives it to
+   run the next job. *)
+let test_failure_counts () =
+  Telemetry.with_ambient (Telemetry.create ~retain_events:false ())
+  @@ fun () ->
+  let bg0 = counter "serve.background_errors" in
+  Thread.join
+    (Serve.Exec.detach ~what:"injected background job" (fun () ->
+         failwith "injected"));
+  checki "background failure counted" (bg0 + 1)
+    (counter "serve.background_errors");
+  let ex0 = counter "serve.executor_errors" in
+  let s = Serve.Scheduler.create ~capacity:4 in
+  let ran_after = ref false in
+  let submit run =
+    match Serve.Scheduler.submit s { Serve.Scheduler.priority = Wire.Interactive; run } with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "submit rejected"
+  in
+  submit (fun () -> failwith "injected");
+  submit (fun () ->
+      ran_after := true;
+      Serve.Scheduler.stop s);
+  Serve.Server.executor_loop s;
+  checki "executor failure counted" (ex0 + 1) (counter "serve.executor_errors");
+  checkb "executor ran the next job" true !ran_after
+
 (* ---------------- end-to-end daemon ---------------- *)
 
 let fresh_sock () =
@@ -581,12 +613,12 @@ let test_serve_admission_reject () =
        The first (div, the slow fork-heavy one) gets a head start so it
        is dequeued and occupying the one worker; then the second fills
        the one queue slot and the third must be rejected. *)
-    let send i bench =
+    let send_request i request =
       Serve.Frame.write fd
-        (Wire.encode_request
-           { Wire.id = i; priority = Wire.Batch;
-             request =
-               Wire.Request.Analyze { bench; tier = Xbound.Tier.Exact } })
+        (Wire.encode_request { Wire.id = i; priority = Wire.Batch; request })
+    in
+    let send i bench =
+      send_request i (Wire.Request.Analyze { bench; tier = Xbound.Tier.Exact })
     in
     send 1 "div";
     Unix.sleepf 0.3;
@@ -682,41 +714,51 @@ let test_serve_admin_lane () =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     @@ fun () ->
-    let send i bench =
+    let send_request i request =
       Serve.Frame.write fd
-        (Wire.encode_request
-           { Wire.id = i; priority = Wire.Batch;
-             request =
-               Wire.Request.Analyze { bench; tier = Xbound.Tier.Exact } })
+        (Wire.encode_request { Wire.id = i; priority = Wire.Batch; request })
     in
-    (* Wedge: div occupies the worker, tea8 fills the queue slot. *)
-    send 1 "div";
-    Unix.sleepf 0.3;
-    send 2 "tea8";
-    (* The scheduler is now saturated; the admin lane must not care.
-       Health is served by a different reader thread than the one
-       admitting request 2, so poll until the queue shows full. *)
+    let send i bench =
+      send_request i (Wire.Request.Analyze { bench; tier = Xbound.Tier.Exact })
+    in
     with_client addr @@ fun admin ->
     let health () =
       match Serve.Client.rpc admin Wire.Request.Health with
       | Ok
           (Wire.Response.Health
-             { ok; uptime_s; queue_len; queue_capacity; inflight = _; workers })
+             { ok; uptime_s; queue_len; queue_capacity; inflight; workers })
         ->
-        (ok, uptime_s, queue_len, queue_capacity, workers)
+        (ok, uptime_s, queue_len, queue_capacity, inflight, workers)
       | Ok _ -> Alcotest.fail "wrong response shape"
       | Error e -> Alcotest.fail (Xbound.Error.to_string e)
     in
-    let deadline = Unix.gettimeofday () +. 5. in
-    let rec wait_full () =
-      let ((_, _, queue_len, _, _) as h) = health () in
-      if queue_len = 1 || Unix.gettimeofday () > deadline then h
-      else begin
-        Thread.yield ();
-        wait_full ()
-      end
+    (* Health is served by a different reader thread than the one
+       admitting requests, so poll until it shows [until]. *)
+    let poll until =
+      let deadline = Unix.gettimeofday () +. 5. in
+      let rec go () =
+        let h = health () in
+        if until h || Unix.gettimeofday () > deadline then h
+        else begin
+          Thread.yield ();
+          go ()
+        end
+      in
+      go ()
     in
-    let ok, uptime_s, queue_len, queue_capacity, workers = wait_full () in
+    (* Wedge: optimizing div (a few exact analyses of it) occupies the
+       worker, tea8 fills the queue slot. tea8 is sent as soon as the
+       wedge has left the queue, so the queue stays full for the
+       wedge's whole run. *)
+    send_request 1 (Wire.Request.Optimize { bench = "div" });
+    ignore
+      (poll (fun (_, _, queue_len, _, inflight, _) ->
+           queue_len = 0 && inflight = 1));
+    send 2 "tea8";
+    (* The scheduler is now saturated; the admin lane must not care. *)
+    let ok, uptime_s, queue_len, queue_capacity, _, workers =
+      poll (fun (_, _, queue_len, _, _, _) -> queue_len = 1)
+    in
     checkb "ok" true ok;
     checki "workers" 1 workers;
     checki "capacity" 1 queue_capacity;
@@ -1070,7 +1112,10 @@ let () =
           Alcotest.test_case "oversized" `Quick test_frame_oversized;
         ] );
       ( "scheduler",
-        [ Alcotest.test_case "admission" `Quick test_scheduler_admission ] );
+        [
+          Alcotest.test_case "admission" `Quick test_scheduler_admission;
+          Alcotest.test_case "failure counts" `Quick test_failure_counts;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "basic rpc" `Quick test_serve_basic;

@@ -202,6 +202,61 @@ let test_block_cache_ns () =
   Alcotest.(check int) "clear wipes the block namespace too" 0 entries;
   (try Sys.rmdir dir with Sys_error _ -> ())
 
+(* {1 Block key} *)
+
+(* The block key equals its formula over plain [Cache.Key.of_value]
+   digests for every block of a kernel, and moves with each input it
+   covers — the other power context included. *)
+let test_block_key () =
+  let pa = Lazy.force pa in
+  let img = Benchprogs.Bench.assemble (Benchprogs.Bench.find "tea8") in
+  let blocks = (extract_ok img).Static.Cfg.c_blocks in
+  let key ?(max_cycles_per_path = 4096) ?(max_paths = 64) ?(pa = pa)
+      ?(img = img) (b : Static.Cfg.block) =
+    Core.Key.block ~max_cycles_per_path ~max_paths pa cpu img
+      ~start:b.Static.Cfg.b_start ~limit:b.Static.Cfg.b_limit
+      ~term:b.Static.Cfg.b_term
+  in
+  let d = Cache.Key.of_value and i = string_of_int in
+  let cpu_d = d (cpu.Cpu.netlist, cpu.Cpu.ports) and pa_d = d pa in
+  List.iter
+    (fun (b : Static.Cfg.block) ->
+      Alcotest.(check string)
+        (Printf.sprintf "block %04x formula" b.Static.Cfg.b_start)
+        (Cache.Key.combine
+           [
+             i Core.Key.static_version;
+             i Core.Key.analysis_version;
+             "4096";
+             "64";
+             cpu_d;
+             pa_d;
+             d
+               ( img.Isa.Asm.words,
+                 b.Static.Cfg.b_start,
+                 b.Static.Cfg.b_limit,
+                 b.Static.Cfg.b_term );
+           ])
+        (key b))
+    blocks;
+  let keys = List.map key blocks in
+  Alcotest.(check int) "one key per block" (List.length blocks)
+    (List.length (List.sort_uniq compare keys));
+  let b = List.hd blocks and k = List.hd keys in
+  let moves what k' = Alcotest.(check bool) what true (k <> k') in
+  moves "max_paths" (key ~max_paths:65 b);
+  moves "max_cycles_per_path" (key ~max_cycles_per_path:4097 b);
+  moves "block limit" (key { b with Static.Cfg.b_limit = b.Static.Cfg.b_limit + 2 });
+  moves "image words"
+    (key
+       ~img:{ img with Isa.Asm.words = (0x0200, 0) :: img.Isa.Asm.words }
+       b);
+  let pa_f =
+    Core.Analyze.poweran_for ~lib:Stdcell.msp430f1610 ~period:125e-9 cpu
+  in
+  moves "power context" (key ~pa:pa_f b);
+  Alcotest.(check string) "default context again" k (key b)
+
 (* {1 Tier dispatch through the facade} *)
 
 (* A fork-heavy program with a starved path budget: the exact tier blows
@@ -273,7 +328,10 @@ let () =
             test_cfg_indirect_rejected;
         ] );
       ( "cache",
-        [ Alcotest.test_case "block namespace" `Slow test_block_cache_ns ] );
+        [
+          Alcotest.test_case "block namespace" `Slow test_block_cache_ns;
+          Alcotest.test_case "block key" `Quick test_block_key;
+        ] );
       ( "tier",
         [
           Alcotest.test_case "too-large program" `Slow
