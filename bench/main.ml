@@ -33,6 +33,12 @@ let list_experiments () =
   print_endline "  compare    diff two bench records with --tolerance";
   print_endline "  ablate     ablation studies"
 
+(* [time f] is [f ()] paired with its wall time in seconds. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (v, Unix.gettimeofday () -. t0)
+
 (* ---------------- micro-benchmarks ---------------- *)
 
 (* Machine-readable mirror of the console output, so the perf trajectory
@@ -101,11 +107,6 @@ let append_history record =
 let bench_cache pa cpu img =
   let dir = Filename.temp_file "xbound-bench-cache" "" in
   Sys.remove dir;
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
   let digest_of (a : Core.Analyze.t) =
     Digest.to_hex
       (Digest.string
@@ -143,11 +144,6 @@ let bench_cache pa cpu img =
 let bench_static pa cpu img (b : Benchprogs.Bench.t) =
   let dir = Filename.temp_file "xbound-bench-static" "" in
   Sys.remove dir;
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
   let run cache () =
     match
       Static.Ipet.analyze ~cache ~name:b.Benchprogs.Bench.name
@@ -234,14 +230,6 @@ let micro ~smoke () =
     Test.make ~name:"symbolic-analysis-tea8"
       (Staged.stage (fun () -> ignore (Core.Analyze.run pa cpu img)))
   in
-  (* Specialization ablation control: the identical analysis on the full
-     gate program. The gap between this row and symbolic-analysis-tea8
-     is the measured value of constant folding + program repacking. *)
-  let symbolic_tree_nospec =
-    Test.make ~name:"symbolic-analysis-tea8-nospec"
-      (Staged.stage (fun () ->
-           ignore (Core.Analyze.run ~specialize:false pa cpu img)))
-  in
   (* Sequential tree exploration on an explicit one-worker pool: the
      in-process baseline the parallel variant above is compared to. *)
   let seq_pool = Parallel.Pool.create ~jobs:1 in
@@ -269,47 +257,35 @@ let micro ~smoke () =
       (Staged.stage (fun () ->
            ignore (Core.Analyze.run ~pool:seq_pool pa cpu img_div)))
   in
-  (* One fully instrumented, uncached reference analysis: its per-phase
-     wall-time breakdown is mirrored into BENCH_micro.json, and the same
-     run is exported as a Chrome trace for the CI artifact. *)
-  let words_per_cycle ~specialize =
+  let words_per_cycle =
     (* counters are no-ops without an ambient sink, so install one for
        the measured run *)
     Telemetry.with_ambient (Telemetry.create ()) @@ fun () ->
     let before = Telemetry.counters () in
-    let a = Core.Analyze.run ~specialize pa cpu img in
+    ignore (Core.Analyze.run pa cpu img);
     let d = Telemetry.diff ~before ~after:(Telemetry.counters ()) in
     let get name = Option.value ~default:0 (List.assoc_opt name d) in
-    ( a,
-      float_of_int (get "engine.words_evaluated")
-      /. float_of_int (max 1 (get "engine.cycles")) )
+    float_of_int (get "engine.words_evaluated")
+    /. float_of_int (max 1 (get "engine.cycles"))
   in
-  let _, wpc_spec = words_per_cycle ~specialize:true in
-  let _, wpc_nospec = words_per_cycle ~specialize:false in
-  let sp = Core.Analyze.specialization_for cpu in
-  let gate_count = Netlist.gate_count cpu.Cpu.netlist in
-  let spec_gate_count = gate_count - Netlist.Specialize.folded_count sp in
-  Printf.printf
-    "%-28s %d gates -> %d specialized (%d folded, %d swept), %.1f -> %.1f \
-     words/cycle\n"
-    "specialization-tea8" gate_count spec_gate_count
-    (Netlist.Specialize.folded_count sp)
-    (Netlist.Specialize.swept sp) wpc_nospec wpc_spec;
   let row_extras =
-    let spec_row wpc spec_gates =
-      Printf.sprintf
-        ", \"gate_count\": %d, \"specialized_gate_count\": %d, \
-         \"words_per_cycle\": %.1f"
-        gate_count spec_gates wpc
+    let extra =
+      Printf.sprintf ", \"gate_count\": %d, \"words_per_cycle\": %.1f"
+        (Netlist.gate_count cpu.Cpu.netlist)
+        words_per_cycle
     in
-    [
-      ("symbolic-analysis-tea8", spec_row wpc_spec spec_gate_count);
-      ("symbolic-analysis-tea8-j1", spec_row wpc_spec spec_gate_count);
-      ("symbolic-analysis-tea8-jN", spec_row wpc_spec spec_gate_count);
-      ("symbolic-analysis-tea8-nospec", spec_row wpc_nospec gate_count);
-      ("symbolic-analysis-div-j1", spec_row wpc_spec spec_gate_count);
-    ]
+    List.map
+      (fun name -> (name, extra))
+      [
+        "symbolic-analysis-tea8";
+        "symbolic-analysis-tea8-j1";
+        "symbolic-analysis-tea8-jN";
+        "symbolic-analysis-div-j1";
+      ]
   in
+  (* One fully instrumented, uncached reference analysis: its per-phase
+     wall-time breakdown is mirrored into BENCH_micro.json, and the same
+     run is exported as a Chrome trace for the CI artifact. *)
   let tel = Telemetry.create () in
   let a = Telemetry.with_ambient tel (fun () -> Core.Analyze.run pa cpu img) in
   Telemetry.write_chrome tel ~file:"BENCH_micro_trace.json";
@@ -346,7 +322,6 @@ let micro ~smoke () =
       (* 2 reset + 100 stepped cycles *)
       ("concrete-100-cycles", 102.);
       ("symbolic-analysis-tea8", sym_cycles);
-      ("symbolic-analysis-tea8-nospec", sym_cycles);
       ("symbolic-analysis-tea8-j1", sym_cycles);
       ("symbolic-analysis-tea8-jN", sym_cycles);
       ("algorithm2-peak-power", float_of_int (Array.length a.Core.Analyze.flattened));
@@ -370,8 +345,8 @@ let micro ~smoke () =
           | _ -> Printf.printf "%-28s (no estimate)\n" name)
         results)
     [
-      concrete_step; symbolic_tree; symbolic_tree_nospec; symbolic_tree_seq;
-      symbolic_tree_par; symbolic_div; peak_power; cpu_build;
+      concrete_step; symbolic_tree; symbolic_tree_seq; symbolic_tree_par;
+      symbolic_div; peak_power; cpu_build;
     ];
   let cache_json, cold_s, warm_s, speedup = bench_cache pa cpu img in
   let st_cold_s, st_warm_s, st_speedup = bench_static pa cpu img b in
@@ -451,11 +426,15 @@ let bench_serve ~smoke () =
   (* Cold single-shot baseline: what one CLI invocation pays, including
      the analysis itself (fresh cache, nothing warm). *)
   let cold_ctx = Xbound.Ctx.create ~cache:(Cache.create ~dir:cache_dir ()) () in
-  let t0 = Unix.gettimeofday () in
-  (match Serve.Exec.exec ~ctx:cold_ctx (Wire.Request.Analyze { bench = "tea8"; tier = Xbound.Tier.Exact }) with
-  | Ok _ -> ()
-  | Error e -> failwith (Xbound.Error.to_string e));
-  let cold_s = Unix.gettimeofday () -. t0 in
+  let (), cold_s =
+    time (fun () ->
+        match
+          Serve.Exec.exec ~ctx:cold_ctx
+            (Wire.Request.Analyze { bench = "tea8"; tier = Xbound.Tier.Exact })
+        with
+        | Ok _ -> ()
+        | Error e -> failwith (Xbound.Error.to_string e))
+  in
   let tel = Telemetry.create () in
   let h_rtt = Telemetry.Histogram.make "bench.serve.rtt_ns" in
   let reqs_per_s, p50_ms, p99_ms =
@@ -496,10 +475,11 @@ let bench_serve ~smoke () =
     | Ok client ->
       ignore (Serve.Client.rpc client (Wire.Request.Analyze { bench = "tea8"; tier = Xbound.Tier.Exact }));
       Serve.Client.close client);
-    let t0 = Unix.gettimeofday () in
-    let threads = List.init clients (fun _ -> Thread.create drive ()) in
-    List.iter Thread.join threads;
-    let dt = Unix.gettimeofday () -. t0 in
+    let (), dt =
+      time (fun () ->
+          List.iter Thread.join
+            (List.init clients (fun _ -> Thread.create drive ())))
+    in
     let total = clients * per_client in
     let ms q =
       Int64.to_float (Telemetry.Histogram.percentile h_rtt q) /. 1e6
@@ -656,18 +636,18 @@ let ablate () =
   let run_with revisit =
     let mem = Cpu.mem_of_image img2 in
     let e = Gatesim.Engine.create cpu.Cpu.netlist ~ports:cpu.Cpu.ports ~mem in
-    let t0 = Unix.gettimeofday () in
-    let _, stats =
-      Gatesim.Sym.run e
-        {
-          (Gatesim.Sym.default_config
-             ~is_end:(Cpu.is_end_cycle ~halt_addr:img2.Isa.Asm.halt_addr))
-          with
-          Gatesim.Sym.revisit_limit = revisit;
-          max_paths = 8192;
-        }
+    let (_, stats), dt =
+      time (fun () ->
+          Gatesim.Sym.run e
+            {
+              (Gatesim.Sym.default_config
+                 ~is_end:(Cpu.is_end_cycle ~halt_addr:img2.Isa.Asm.halt_addr))
+              with
+              Gatesim.Sym.revisit_limit = revisit;
+              max_paths = 8192;
+            })
     in
-    (stats, Unix.gettimeofday () -. t0)
+    (stats, dt)
   in
   List.iter
     (fun revisit ->

@@ -70,16 +70,7 @@ let tier_arg =
     & opt tier_conv Xbound.Tier.Exact
     & info [ "tier" ] ~docv:"TIER" ~doc)
 
-let no_specialize_arg =
-  let doc =
-    "Run engines on the full gate program instead of the \
-     application-specialized one (constant-folded, dead-cone-swept, \
-     repacked). Bounds and reports are bit-identical either way; the flag \
-     exists for differential testing and as an escape hatch."
-  in
-  Arg.(value & flag & info [ "no-specialize" ] ~doc)
-
-let make jobs cache_dir no_cache trace_file stats tier no_specialize =
+let make jobs cache_dir no_cache trace_file stats tier =
   (match jobs with None -> () | Some j -> Parallel.set_default_jobs j);
   let cache =
     if no_cache then None
@@ -111,14 +102,7 @@ let make jobs cache_dir no_cache trace_file stats tier no_specialize =
     end
   in
   {
-    ctx =
-      {
-        Xbound.Ctx.cache;
-        jobs;
-        telemetry;
-        tier;
-        specialize = not no_specialize;
-      };
+    ctx = { Xbound.Ctx.cache; jobs; telemetry; tier };
     trace_file;
     stats;
   }
@@ -126,4 +110,4 @@ let make jobs cache_dir no_cache trace_file stats tier no_specialize =
 let term =
   Term.(
     const make $ jobs_arg $ cache_dir_arg $ no_cache_arg $ trace_arg
-    $ stats_arg $ tier_arg $ no_specialize_arg)
+    $ stats_arg $ tier_arg)

@@ -33,47 +33,26 @@ let poweran_for ?(lib = Stdcell.default) ?(period = 1e-8) cpu =
     ~module_scale:[ ("multiplier", 1.6) ]
     cpu.Cpu.netlist lib ~period
 
-let c_folded = Telemetry.Counter.make "engine.gates_folded"
-let c_swept = Telemetry.Counter.make "engine.gates_swept"
-
-(* Denominator for the fold ratio (folded / total): bumped per engine,
-   specialized or not, so the ratio is well-defined in both modes. *)
-let c_gates = Telemetry.Counter.make "engine.gates_total"
-
 (* The specialization depends only on the netlist and the reset
    protocol (not on the program image), so one result serves every
-   analysis over a CPU — memoized by CPU identity, like the digests in
+   report over a CPU — memoized by CPU identity, like the digests in
    [Key]. *)
 let specialization_for =
-  Key.identity_memo (fun cpu ->
+  Parallel.identity_memo (fun cpu ->
       Telemetry.span "specialize" @@ fun () ->
       Netlist.Specialize.compute cpu.Cpu.netlist
         ~reset:cpu.Cpu.ports.Gatesim.Engine.reset)
 
-(* Membership test for folded nets, computed regardless of whether the
-   engines run specialized — [Explain] labels folded gates as a
-   "constant" class, and that labeling must not depend on the engine
-   mode (outputs are byte-identical with specialization on or off). *)
+(* Membership test for folded nets: [Explain] labels folded gates as a
+   "constant" class. *)
 let folded_pred cpu =
   let sp = specialization_for cpu in
   Netlist.Specialize.is_folded sp
 
-let engine_for ?(specialize = true) cpu image ~symbolic =
+let engine_for cpu image ~symbolic =
   let mem = Cpu.mem_of_image image in
   if not symbolic then Cpu.zero_ram mem;
-  Telemetry.Counter.add c_gates (Netlist.gate_count cpu.Cpu.netlist);
-  let spec =
-    if specialize then begin
-      let sp = specialization_for cpu in
-      Telemetry.Counter.add c_folded (Netlist.Specialize.folded_count sp);
-      Telemetry.Counter.add c_swept (Netlist.Specialize.swept sp);
-      Some sp
-    end
-    else None
-  in
-  let e =
-    Gatesim.Engine.create ?spec cpu.Cpu.netlist ~ports:cpu.Cpu.ports ~mem
-  in
+  let e = Gatesim.Engine.create cpu.Cpu.netlist ~ports:cpu.Cpu.ports ~mem in
   if not symbolic then Gatesim.Engine.set_port_in e (Array.make 16 Tri.Zero);
   e
 
@@ -83,19 +62,14 @@ let engine_for ?(specialize = true) cpu image ~symbolic =
    entries are Marshal round-trips of the same floats — also bit
    identical between cached and fresh runs.
 
-   [specialize] (default on) only selects the engine's compiled program;
-   trees, digests and bounds are bit-identical either way (the
-   differential suite enforces it), so it deliberately does NOT enter
-   the cache keys — cached entries are shared across modes.
-
    The keys come from [Key]: the tree key once per call, and the
    Algorithm 2 base key only when the analysis itself misses. *)
-let run ?(config = default_config) ?pool ?cache ?specialize pa cpu
+let run ?(config = default_config) ?pool ?cache pa cpu
     (image : Isa.Asm.image) =
   Telemetry.span "analyze" @@ fun () ->
   let pool = match pool with Some _ as p -> p | None -> Parallel.auto () in
   let explore () =
-    let e = engine_for ?specialize cpu image ~symbolic:true in
+    let e = engine_for cpu image ~symbolic:true in
     let sym_config =
       {
         (Gatesim.Sym.default_config
@@ -155,7 +129,7 @@ let run ?(config = default_config) ?pool ?cache ?specialize pa cpu
    value), booting straight into a basic block is exactly the
    conservative "entered from any machine state" entry the static tier
    needs — no prologue, no state surgery. *)
-let run_fragment ?pool ?specialize ~is_end ~max_cycles_per_path ~max_paths cpu
+let run_fragment ?pool ~is_end ~max_cycles_per_path ~max_paths cpu
     (image : Isa.Asm.image) ~entry =
   Telemetry.span "fragment" @@ fun () ->
   let pool = match pool with Some _ as p -> p | None -> Parallel.auto () in
@@ -211,7 +185,7 @@ let run_fragment ?pool ?specialize ~is_end ~max_cycles_per_path ~max_paths cpu
       false
     | _ -> is_end cy
   in
-  let e = engine_for ?specialize cpu image ~symbolic:true in
+  let e = engine_for cpu image ~symbolic:true in
   let sym_config =
     {
       (Gatesim.Sym.default_config ~is_end) with
@@ -222,9 +196,9 @@ let run_fragment ?pool ?specialize ~is_end ~max_cycles_per_path ~max_paths cpu
   Gatesim.Sym.run ?pool e sym_config
 
 (* Concrete (input-based) execution for profiling and validation. *)
-let run_concrete ?specialize pa cpu (image : Isa.Asm.image) ~inputs =
+let run_concrete pa cpu (image : Isa.Asm.image) ~inputs =
   Telemetry.span "concrete" @@ fun () ->
-  let e = engine_for ?specialize cpu image ~symbolic:false in
+  let e = engine_for cpu image ~symbolic:false in
   List.iter
     (fun (addr, ws) ->
       List.iteri

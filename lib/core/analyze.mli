@@ -28,22 +28,18 @@ type t = {
     the multiplier-array wire scale (see DESIGN.md calibration notes). *)
 val poweran_for : ?lib:Stdcell.t -> ?period:float -> Cpu.t -> Poweran.t
 
-(** {1 Specialization}
+(** {1 Constant nets}
 
     {!Netlist.Specialize} depends only on the netlist and the reset
-    protocol, so one result serves every analysis over a CPU; it is
-    memoized by CPU identity ({!Key.identity_memo}) and computed under a ["specialize"]
-    telemetry span. Engines take it via the [?specialize] flags below
-    (default on); trees, digests and bounds are bit-identical with it on
-    or off, which is why the flag does not enter cache keys. *)
+    protocol, so one result serves every report over a CPU; it is
+    memoized by CPU identity ({!Parallel.identity_memo}) and computed
+    under a ["specialize"] telemetry span. *)
 
 (** The memoized specialization of a CPU's netlist. *)
 val specialization_for : Cpu.t -> Netlist.Specialize.t
 
-(** [folded_pred cpu net] — true when [net] is proven constant. Computed
-    from {!specialization_for} regardless of engine mode, so reports
-    using it (the [Explain] "constant" gate class) are byte-identical
-    with specialization on or off. *)
+(** [folded_pred cpu net] — true when [net] is proven constant (the
+    [Explain] "constant" gate class). *)
 val folded_pred : Cpu.t -> int -> bool
 
 (** [run pa cpu image] — Algorithm 1 (symbolic execution) followed by
@@ -57,7 +53,6 @@ val run :
   ?config:config ->
   ?pool:Parallel.Pool.t ->
   ?cache:Cache.t ->
-  ?specialize:bool ->
   Poweran.t ->
   Cpu.t ->
   Isa.Asm.image ->
@@ -72,7 +67,6 @@ val run :
     the first fetch outside the block). *)
 val run_fragment :
   ?pool:Parallel.Pool.t ->
-  ?specialize:bool ->
   is_end:(Gatesim.Trace.cycle -> bool) ->
   max_cycles_per_path:int ->
   max_paths:int ->
@@ -86,7 +80,6 @@ val run_fragment :
     [(address, words)] pokes into RAM. Returns the cycle records and the
     observed per-cycle power trace. *)
 val run_concrete :
-  ?specialize:bool ->
   Poweran.t ->
   Cpu.t ->
   Isa.Asm.image ->

@@ -8,26 +8,12 @@ type t = Cache.Key.t
 let analysis_version = 2
 let static_version = 1
 
-(* Four entries: the CPU or power contexts a process keeps live at once
-   (two power contexts in [Report.Context]) plus room for a transient
-   one, without a scan worth measuring. Hits never write, so readers on
-   other domains do not contend. *)
-let identity_memo f =
-  let entries = Atomic.make [] in
-  fun v ->
-    let seen = Atomic.get entries in
-    match List.assq_opt v seen with
-    | Some d -> d
-    | None ->
-      let d = f v in
-      Atomic.set entries ((v, d) :: List.filteri (fun i _ -> i < 3) seen);
-      d
-
 let cpu =
-  identity_memo (fun (cpu : Cpu.t) ->
+  Parallel.identity_memo (fun (cpu : Cpu.t) ->
       Cache.Key.of_value (cpu.Cpu.netlist, cpu.Cpu.ports))
 
-let poweran = identity_memo (fun (pa : Poweran.t) -> Cache.Key.of_value pa)
+let poweran =
+  Parallel.identity_memo (fun (pa : Poweran.t) -> Cache.Key.of_value pa)
 
 let tree ?(version = analysis_version) ~revisit_limit ~max_paths
     ~max_cycles_per_path c (image : Isa.Asm.image) =

@@ -7,7 +7,7 @@
     power model (about 372 KB) — cost milliseconds to digest, and a
     long-lived process such as [xbound serve] asks for them on every
     request. So {!cpu} and {!poweran} digest each value once and then
-    answer from an identity-keyed memo ({!identity_memo}).
+    answer from an identity-keyed memo ({!Parallel.identity_memo}).
 
     {b Identity assumption.} A [Cpu.t] and a [Poweran.t] are never
     mutated after construction: a memoized digest is returned for the
@@ -32,14 +32,6 @@ val analysis_version : int
 (** Version component of every ["block"] key; bump when the static
     tier's block characterization changes. *)
 val static_version : int
-
-(** [identity_memo f] — [f], memoized by the physical identity of its
-    argument. It keeps the few most recently computed results (so the
-    two power contexts of one CPU that [Report.Context] keeps live do
-    not evict each other). Safe to call from any thread or domain; a
-    concurrent recompute is harmless (the last write wins, and [f] must
-    be deterministic). Entries keep their argument alive. *)
-val identity_memo : ('a -> 'b) -> 'a -> 'b
 
 (** Digest of a CPU's (netlist, ports): [Cache.Key.of_value] of that
     pair, memoized. *)

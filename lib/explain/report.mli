@@ -64,9 +64,7 @@ type t = {
     4 / 5); [phases]/[counters] attach the per-call telemetry deltas
     when the caller has them. [folded] (typically
     {!Core.Analyze.folded_pred}) relabels proven-constant gates into a
-    ["constant"] class in each COI's class split — sums are unchanged;
-    pass it regardless of the engine's specialization mode so reports
-    are identical either way. *)
+    ["constant"] class in each COI's class split — sums are unchanged. *)
 val build :
   ?top:int ->
   ?min_gap:int ->

@@ -108,11 +108,7 @@ let c_words = Telemetry.Counter.make "engine.words_evaluated"
 let c_cycles = Telemetry.Counter.make "engine.cycles"
 let h_snapshot_ns = Telemetry.Histogram.make "engine.snapshot_ns"
 
-(* One compiled gate program. The engine carries two: [full] over every
-   combinational gate, and optionally a specialized program over the
-   gates that {!Netlist.Specialize} could not fold. Both address the
-   same net-indexed value planes — only program positions (and hence
-   the dirty plane and fanout lists) are renumbered. *)
+(* The compiled gate program over every combinational gate. *)
 type compiled = {
   c_prog : int array;  (* stride 4: [op|out<<4; f0; f1; f2], topo order *)
   c_fo_off : int array;  (* per net: offset into c_fo_pos, length n+1 *)
@@ -121,28 +117,12 @@ type compiled = {
   c_pw : int;  (* words in the program-position dirty plane *)
 }
 
-(* Specialized-program state, shared by every engine over the same
-   specialization (immutable). [sfv]/[sfx]/[sfmask] are the invariant
-   value vector as net planes; the engine verifies the live state
-   against them before switching programs, so activation can never
-   change observable behaviour. *)
-type spec_state = {
-  sc : compiled;
-  sfv : int array;
-  sfx : int array;
-  sfmask : int array;  (* bit set = net is folded *)
-  scand : int array;  (* folded flops, packed (dff_index lsl 2) lor code *)
-  s_folded : int;
-  s_swept : int;
-}
-
 (* Per-netlist immutable compile results, memoized by physical identity:
    the static tier creates one engine per characterized block over the
    same netlist, and worker domains one replica each, so recompiling
    these per engine is pure waste. A concurrent recompute is harmless
    (last write wins, same tables). *)
 type tables = {
-  tb_nl : Netlist.t;
   tb_full : compiled;
   tb_gkind : Bytes.t;  (* 1=Input, 2=Dff, 3=Dffe, 0 otherwise *)
   tb_gf0 : int array;  (* fanin 0 of Input/Dff/Dffe gates (en for Dffe) *)
@@ -162,14 +142,6 @@ type t = {
   ports : ports;
   mem_ : Mem.t;
   tb : tables;
-  (* Compiled programs — immutable after [create]. [cur] switches
-     between [full] and the specialized program; the switch is only
-     taken at a settled cycle boundary after verifying the state against
-     the invariant vector, so it is unobservable. *)
-  full : compiled;
-  spec : spec_state option;
-  mutable cur : compiled;
-  mutable spec_on : bool;
   gkind : Bytes.t;
   gf0 : int array;
   xsp : int array;
@@ -186,7 +158,7 @@ type t = {
   mutable px : int array;
   mutable av : int array;  (* activity bit-plane *)
   mutable pav : int array;  (* previous-cycle activity *)
-  mutable dirty : int array;  (* dirty bit-plane over [cur] positions *)
+  mutable dirty : int array;  (* dirty bit-plane over program positions *)
   mutable dff_next : int array;  (* pending flop codes, indexed like nl.dffs *)
   mutable shared : bool;
   mutable hash : int;  (* Zobrist hash over dff_next + input values *)
@@ -217,15 +189,13 @@ let unshare t =
     t.shared <- false
   end
 
-(* Compile the gate program over the combinational gates satisfying
-   [keep], preserving (level, id) order — a subsequence of a levelized
-   topological order is itself one, so the forward-only dirty-scan
-   fixpoint argument is untouched. *)
-let compile_program nl ~keep =
+(* Compile the gate program over the combinational gates in (level, id)
+   order, the order the forward-only dirty-scan fixpoint relies on. *)
+let compile_program nl =
   let n = Netlist.gate_count nl in
   let gates = nl.Netlist.gates in
-  let surv = Array.of_seq (Seq.filter keep (Array.to_seq nl.Netlist.topo)) in
-  let ncomb = Array.length surv in
+  let topo = nl.Netlist.topo in
+  let ncomb = Array.length topo in
   let pw = Tri.Plane.words ncomb in
   let prog = Array.make (ncomb * 4) 0 in
   let pos_of = Array.make n (-1) in
@@ -253,7 +223,7 @@ let compile_program nl ~keep =
       prog.(p + 1) <- f0;
       prog.(p + 2) <- f1;
       prog.(p + 3) <- f2)
-    surv;
+    topo;
   (* Fanout lists in program space: per net, the positions of its
      combinational readers (flop readers are sampled at cycle
      boundaries, not re-evaluated, so they don't appear). *)
@@ -288,7 +258,7 @@ let build_tables nl =
   let ndffs = Netlist.dff_count nl in
   let gates = nl.Netlist.gates in
   let nw = Tri.Plane.words n in
-  let full = compile_program nl ~keep:(fun _ -> true) in
+  let full = compile_program nl in
   (* Per-gate metadata for activity marking and digest maintenance. *)
   let gkind = Bytes.make n '\000' in
   let gf0 = Array.make n 0 in
@@ -341,7 +311,6 @@ let build_tables nl =
     h := !h lxor Zhash.key (ndffs + j) xcode
   done;
   {
-    tb_nl = nl;
     tb_full = full;
     tb_gkind = gkind;
     tb_gf0 = gf0;
@@ -356,57 +325,9 @@ let build_tables nl =
     tb_init_hash = !h;
   }
 
-let tables_memo : (Netlist.t * tables) option ref = ref None
+let tables_for = Parallel.identity_memo build_tables
 
-let tables_for nl =
-  match !tables_memo with
-  | Some (nl', tb) when nl' == nl -> tb
-  | _ ->
-    let tb = build_tables nl in
-    tables_memo := Some (nl, tb);
-    tb
-
-let build_spec_state tb sp =
-  if not (Netlist.Specialize.netlist sp == tb.tb_nl) then
-    invalid_arg "Engine.create: specialization is for a different netlist";
-  let nl = tb.tb_nl in
-  let n = Netlist.gate_count nl in
-  let sc =
-    compile_program nl ~keep:(fun id -> not (Netlist.Specialize.is_folded sp id))
-  in
-  let sfv = Array.make tb.tb_nw 0 in
-  let sfx = Array.make tb.tb_nw 0 in
-  let sfmask = Array.make tb.tb_nw 0 in
-  for id = 0 to n - 1 do
-    if Netlist.Specialize.is_folded sp id then begin
-      let w = id lsr 5 and b = id land 31 in
-      sfmask.(w) <- sfmask.(w) lor (1 lsl b);
-      let c = Netlist.Specialize.code sp id in
-      sfv.(w) <- sfv.(w) lor ((c land 1) lsl b);
-      sfx.(w) <- sfx.(w) lor (((c lsr 1) land 1) lsl b)
-    end
-  done;
-  {
-    sc;
-    sfv;
-    sfx;
-    sfmask;
-    scand = Netlist.Specialize.folded_dffs sp;
-    s_folded = Netlist.Specialize.folded_count sp;
-    s_swept = Netlist.Specialize.swept sp;
-  }
-
-let spec_memo : (Netlist.Specialize.t * spec_state) option ref = ref None
-
-let spec_state_for tb sp =
-  match !spec_memo with
-  | Some (sp', st) when sp' == sp -> st
-  | _ ->
-    let st = build_spec_state tb sp in
-    spec_memo := Some (sp, st);
-    st
-
-let make nl ~ports ~mem tb spec =
+let make nl ~ports ~mem tb =
   let ndffs = Netlist.dff_count nl in
   let n = Netlist.gate_count nl in
   let full = tb.tb_full in
@@ -421,10 +342,6 @@ let make nl ~ports ~mem tb spec =
     ports;
     mem_ = mem;
     tb;
-    full;
-    spec;
-    cur = full;
-    spec_on = false;
     gkind = tb.tb_gkind;
     gf0 = tb.tb_gf0;
     xsp = tb.tb_xsp;
@@ -451,10 +368,7 @@ let make nl ~ports ~mem tb spec =
     scratch_x = Array.make n 0;
   }
 
-let create ?spec nl ~ports ~mem =
-  let tb = tables_for nl in
-  let sp = Option.map (spec_state_for tb) spec in
-  make nl ~ports ~mem tb sp
+let create nl ~ports ~mem = make nl ~ports ~mem (tables_for nl)
 
 let set_reset t level = t.reset_drive <- Tri.to_int level
 
@@ -467,7 +381,7 @@ let set_port_in t trits =
   Array.iteri (fun i v -> t.port_drive.(i) <- Tri.to_int v) trits
 
 let[@inline] mark_fanouts t id =
-  let cur = t.cur in
+  let cur = t.tb.tb_full in
   let dirty = t.dirty in
   let stop = Array.unsafe_get cur.c_fo_off (id + 1) in
   for k = Array.unsafe_get cur.c_fo_off id to stop - 1 do
@@ -490,7 +404,7 @@ let drive t id v =
   end
 
 let eval_pass t =
-  let cur = t.cur in
+  let cur = t.tb.tb_full in
   let dirty = t.dirty
   and prog = cur.c_prog
   and vv = t.vv
@@ -533,64 +447,8 @@ let sample t bus =
 
 let value t id = Tri.of_int (pget t.vv t.vx id)
 
-(* Program-switch points. Both run only at a settled cycle boundary
-   (dirty plane all-zero), so swapping the program and its dirty plane
-   is a pure representation change: every folded gate's output already
-   holds its proven-invariant value, every surviving gate computes
-   exactly what the full program would, and the value planes, digest and
-   delta/X-active collection are untouched — behaviour is bit-identical
-   whether or when the switch happens.
-
-   Activation verifies the live state against the invariant vector
-   (folded nets at their codes, folded flops' pending values at their
-   codes, reset deasserted); the check fails harmlessly during the reset
-   settle cycles and passes from the first steady-state cycle on. *)
-let try_specialize t =
-  match t.spec with
-  | None -> ()
-  | Some s ->
-    if t.reset_drive = 0 then begin
-      let vv = t.vv and vx = t.vx in
-      let sfv = s.sfv and sfx = s.sfx and sfmask = s.sfmask in
-      let nw = t.nw in
-      let ok = ref true in
-      let w = ref 0 in
-      while !ok && !w < nw do
-        if
-          ((Array.unsafe_get vv !w lxor Array.unsafe_get sfv !w)
-          lor (Array.unsafe_get vx !w lxor Array.unsafe_get sfx !w))
-          land Array.unsafe_get sfmask !w
-          <> 0
-        then ok := false;
-        incr w
-      done;
-      let dn = t.dff_next and sc = s.scand in
-      let m = Array.length sc in
-      let i = ref 0 in
-      while !ok && !i < m do
-        let e = Array.unsafe_get sc !i in
-        if Array.unsafe_get dn (e lsr 2) <> e land 3 then ok := false;
-        incr i
-      done;
-      if !ok then begin
-        t.spec_on <- true;
-        t.cur <- s.sc;
-        (* Fresh (not mutated): snapshots sharing the old plane keep it. *)
-        t.dirty <- Array.make s.sc.c_pw 0
-      end
-    end
-
-let unspecialize t =
-  t.spec_on <- false;
-  t.cur <- t.full;
-  t.dirty <- Array.make t.full.c_pw 0
-
 let begin_cycle t =
   if t.mid then invalid_arg "Engine.begin_cycle: already mid-cycle";
-  if t.spec_on then begin
-    if t.reset_drive <> 0 then unspecialize t
-  end
-  else try_specialize t;
   unshare t;
   t.mid <- true;
   (* Clock edge: flops take their pending values. *)
@@ -713,7 +571,7 @@ let finish_cycle t =
      (this sensitization matters: without it, every idle X register
      whose write-data bus toggles would be counted as potentially
      switching each cycle, grossly inflating the bound). *)
-  let cur = t.cur in
+  let cur = t.tb.tb_full in
   let prog = cur.c_prog in
   let ncomb = cur.c_ncomb in
   for k = 0 to ncomb - 1 do
@@ -818,7 +676,6 @@ type snapshot = {
   s_port_drive : int array;
   s_cycle : int;
   s_mid : bool;
-  s_spec_on : bool;  (* which program s_dirty is positioned over *)
 }
 
 let snapshot_ t =
@@ -838,7 +695,6 @@ let snapshot_ t =
     s_port_drive = Array.copy t.port_drive;
     s_cycle = t.cycle;
     s_mid = t.mid;
-    s_spec_on = t.spec_on;
   }
 
 let snapshot t =
@@ -852,15 +708,6 @@ let snapshot t =
   else snapshot_ t
 
 let restore t s =
-  (match (s.s_spec_on, t.spec) with
-  | true, None ->
-    invalid_arg "Engine.restore: specialized snapshot, unspecialized engine"
-  | true, Some sp ->
-    t.spec_on <- true;
-    t.cur <- sp.sc
-  | false, _ ->
-    t.spec_on <- false;
-    t.cur <- t.full);
   t.vv <- s.s_vv;
   t.vx <- s.s_vx;
   t.pv <- s.s_pv;
@@ -878,16 +725,11 @@ let restore t s =
   t.mid <- s.s_mid
 
 (* Replica for a worker domain: shares the read-only netlist, compiled
-   tables, specialization and ROM with [t]; owns fresh planes and RAM.
+   tables and ROM with [t]; owns fresh planes and RAM.
    The external drive levels are carried by [snapshot]/[restore], so a
    replica becomes interchangeable with the original the moment a
    snapshot is restored into it. *)
-let create_like t = make t.nl ~ports:t.ports ~mem:(Mem.like t.mem_) t.tb t.spec
-
-let specialization t =
-  Option.map (fun s -> (s.s_folded, s.s_swept)) t.spec
-
-let specialized_active t = t.spec_on
+let create_like t = make t.nl ~ports:t.ports ~mem:(Mem.like t.mem_) t.tb
 
 let of_snapshot t s =
   let e = create_like t in
@@ -993,14 +835,8 @@ module Gang = struct
       lpav = Array.make n 0;
       ldnv = Array.make ndffs 0;
       ldnx = Array.make ndffs 0;
-      (* Lanes always run the full program: gang state mixes lanes from
-         arbitrary snapshots, and the per-gate merge-store already
-         amortizes the program walk across the whole gang. Extracted
-         snapshots are marked unspecialized; a scalar engine restoring
-         one re-activates its specialized program at the next verified
-         cycle boundary. *)
-      gdirty = Array.make e.full.c_pw 0;
-      ldirty = Array.make e.full.c_ncomb 0;
+      gdirty = Array.make e.tb.tb_full.c_pw 0;
+      ldirty = Array.make e.tb.tb_full.c_ncomb 0;
       mark = Array.make e.nw 0;
       markp = Array.make e.nw 0;
       mems = Array.init width (fun _ -> Mem.like e.mem_);
@@ -1032,7 +868,7 @@ module Gang = struct
   (* Mark fanouts dirty in exactly the [lanes] whose driver changed. *)
   let[@inline] mark_fanouts_g g id lanes =
     let dirty = g.gdirty and ldirty = g.ldirty in
-    let full = g.e.full in
+    let full = g.e.tb.tb_full in
     let stop = Array.unsafe_get full.c_fo_off (id + 1) in
     for k = Array.unsafe_get full.c_fo_off id to stop - 1 do
       let pos = Array.unsafe_get full.c_fo_pos k in
@@ -1071,10 +907,10 @@ module Gang = struct
      [eval_pass] with {!Tri.Lanes} formulas instead of table lookups. *)
   let eval_g g =
     let e = g.e in
-    let dirty = g.gdirty and prog = e.full.c_prog in
+    let dirty = g.gdirty and prog = e.tb.tb_full.c_prog in
     let lvv = g.lvv and lvx = g.lvx in
     let live = g.live in
-    let pw = e.full.c_pw in
+    let pw = e.tb.tb_full.c_pw in
     let words = ref 0 in
     let w = ref 0 in
     while !w < pw do
@@ -1286,8 +1122,8 @@ module Gang = struct
         end
       end
     done;
-    let prog = e.full.c_prog in
-    let ncomb = e.full.c_ncomb in
+    let prog = e.tb.tb_full.c_prog in
+    let ncomb = e.tb.tb_full.c_ncomb in
     for k = 0 to ncomb - 1 do
       let p = k lsl 2 in
       let hd = Array.unsafe_get prog p in
@@ -1438,7 +1274,7 @@ module Gang = struct
       s_px = px;
       s_av = Array.make nw 0;  (* rewritten wholesale by finish_cycle *)
       s_pav = pav;
-      s_dirty = Array.make e.full.c_pw 0;  (* settled *)
+      s_dirty = Array.make e.tb.tb_full.c_pw 0;  (* settled *)
       s_dff_next =
         Array.init (Netlist.dff_count e.nl) (fun i ->
             ((g.ldnv.(i) lsr l) land 1) lor (((g.ldnx.(i) lsr l) land 1) lsl 1));
@@ -1448,7 +1284,6 @@ module Gang = struct
       s_port_drive = Array.copy g.pdrive.(l);
       s_cycle = g.cyc.(l);
       s_mid = mid;
-      s_spec_on = false;  (* gang lanes run the full program *)
     }
 
   let extract g l = extract_lane g l ~mid:false

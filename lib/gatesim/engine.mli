@@ -37,27 +37,14 @@ type ports = {
 
 type t
 
-(** [create ?spec nl ~ports ~mem] — compile tables are memoized by
-    netlist identity, so repeated creation over the same netlist (one
-    engine per characterized block, one replica per worker domain) is
-    cheap. With [spec], the engine additionally carries a specialized
-    program over the gates {!Netlist.Specialize} could not fold; it
-    switches to it automatically at the first settled cycle boundary
-    whose state verifies against the invariant vector (reset
-    deasserted), and back whenever reset is re-asserted. The switch is
-    unobservable: cycle records, digests, forks and snapshots are
-    bit-identical with and without [spec]. *)
-val create : ?spec:Netlist.Specialize.t -> Netlist.t -> ports:ports -> mem:Mem.t -> t
+(** [create nl ~ports ~mem] — compile tables are memoized by netlist
+    identity, so repeated creation over the same netlist (one engine per
+    characterized block, one replica per worker domain) is cheap. *)
+val create : Netlist.t -> ports:ports -> mem:Mem.t -> t
 
 val netlist : t -> Netlist.t
 val mem : t -> Mem.t
 val cycle_index : t -> int
-
-(** [(folded, swept)] of the engine's specialization, if any. *)
-val specialization : t -> (int * int) option
-
-(** True while the specialized program is the active one. *)
-val specialized_active : t -> bool
 
 (** [set_reset t level] drives the reset input from the next cycle on. *)
 val set_reset : t -> Tri.t -> unit

@@ -358,20 +358,16 @@ module Specialize = struct
   type netlist = t
 
   type t = {
-    nl : netlist;
     codes : int array;  (* per net: Tri.I code of the invariant value *)
     folded_plane : int array;  (* bit-plane over net ids *)
     folded_count : int;
     folded_comb : int;
-    folded_dffs : int array;  (* packed (dff_index lsl 2) lor code *)
     swept : int;
   }
 
-  let netlist t = t.nl
   let folded_count t = t.folded_count
   let folded_comb t = t.folded_comb
   let swept t = t.swept
-  let folded_dffs t = t.folded_dffs
   let code t id = t.codes.(id)
 
   let is_folded t id =
@@ -490,21 +486,11 @@ module Specialize = struct
           if Array.for_all is_f nl.fanouts.(id) then incr swept
         end)
       nl.topo;
-    let folded_dffs =
-      Array.of_seq
-        (Seq.filter_map
-           (fun i ->
-             let id = nl.dffs.(i) in
-             if is_f id then Some ((i lsl 2) lor codes.(id)) else None)
-           (Seq.init ndffs (fun i -> i)))
-    in
     {
-      nl;
       codes;
       folded_plane;
       folded_count = !folded_count;
       folded_comb = !folded_comb;
-      folded_dffs;
       swept = !swept;
     }
 end

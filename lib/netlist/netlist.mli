@@ -147,14 +147,11 @@ module Specialize : sig
       O(cycles · gates). *)
   val compute : ?pre:int -> ?settle:int -> netlist -> reset:int -> t
 
-  val netlist : t -> netlist
-
   (** Nets proven constant (all kinds, including [Const] cells, the
       reset input and folded flops). *)
   val folded_count : t -> int
 
-  (** Folded combinational gates — the ones the specialized engine
-      program drops. *)
+  (** Folded combinational gates. *)
   val folded_comb : t -> int
 
   (** Folded combinational gates whose entire fanout is also folded
@@ -166,9 +163,4 @@ module Specialize : sig
   (** Invariant value of a net as a {!Tri.I} code; [Tri.I.x] when the
       net is not folded. *)
   val code : t -> int -> int
-
-  (** Folded flops, packed [(dff_index lsl 2) lor code] — the engine
-    verifies these against its pending flop values before switching to
-    the specialized program. *)
-  val folded_dffs : t -> int array
 end

@@ -105,3 +105,13 @@ val map_array_auto : ('a -> 'b) -> 'a array -> 'b array
     evaluation): falls back to [Array.map] below [2 * chunk] elements.
     [f] must be pure. *)
 val chunked_map_auto : ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
+
+(** {1 Identity memo} *)
+
+(** [identity_memo f] — [f], memoized by the physical identity of its
+    argument. It keeps the few most recently computed results (so the
+    two power contexts of one CPU that [Report.Context] keeps live do
+    not evict each other). Safe to call from any thread or domain; a
+    concurrent recompute is harmless (the last write wins, and [f] must
+    be deterministic). Entries keep their argument alive. *)
+val identity_memo : ('a -> 'b) -> 'a -> 'b

@@ -172,15 +172,6 @@ let top (d : Telemetry.Snapshot.t) =
     Printf.bprintf b "  cache hit ratio %.1f%% (%d hits, %d misses)\n"
       (100. *. float_of_int hits /. float_of_int (hits + misses))
       hits misses;
-  (* Specialization effectiveness over the window: folded gates as a
-     share of all gates compiled into engines. *)
-  let folded = counter "engine.gates_folded" in
-  let gates = counter "engine.gates_total" in
-  if gates > 0 then
-    Printf.bprintf b "  fold ratio %.2f%% (%d of %d gates, %d swept)\n"
-      (100. *. float_of_int folded /. float_of_int gates)
-      folded gates
-      (counter "engine.gates_swept");
   let tiers =
     List.filter_map
       (fun (name, v) ->

@@ -55,10 +55,10 @@ let rec walk pa = function
     (Float.max e1 e2, max c1 c2, Float.max pk1 pk2)
   | Gatesim.Trace.End_path | Gatesim.Trace.Seen _ -> (0.0, 0, 0.0)
 
-let compute ?pool ?specialize ~max_cycles_per_path ~max_paths pa cpu img
+let compute ?pool ~max_cycles_per_path ~max_paths pa cpu img
     (b : Cfg.block) =
   let tree, _stats =
-    Core.Analyze.run_fragment ?pool ?specialize ~is_end:(is_end_of_block b)
+    Core.Analyze.run_fragment ?pool ~is_end:(is_end_of_block b)
       ~max_cycles_per_path ~max_paths cpu img ~entry:b.Cfg.b_start
   in
   match tree.Gatesim.Trace.root with
@@ -89,13 +89,13 @@ let compute ?pool ?specialize ~max_cycles_per_path ~max_paths pa cpu img
     let e, c, pk = walk pa root in
     (e, c, pk, 0.0, 0, 0.0)
 
-let characterize ?cache ?pool ?specialize ?(max_cycles_per_path = 4096)
+let characterize ?cache ?pool ?(max_cycles_per_path = 4096)
     ?(max_paths = 64) pa cpu img b =
   Telemetry.span "blockchar" @@ fun () ->
   let computed = ref false in
   let run () =
     computed := true;
-    compute ?pool ?specialize ~max_cycles_per_path ~max_paths pa cpu img b
+    compute ?pool ~max_cycles_per_path ~max_paths pa cpu img b
   in
   let energy_j, cycles, peak_w, boot_energy_j, boot_cycles, boot_peak_w =
     match cache with

@@ -37,13 +37,10 @@ val is_end_of_block : Cfg.block -> Gatesim.Trace.cycle -> bool
 (** [characterize pa cpu img b] — the cost of one execution of [b] from
     the conservative all-X entry state. May raise
     {!Gatesim.Sym.Path_limit} if the block's symbolic exploration does
-    not converge within the (generous) fragment limits. [specialize]
-    (default on) selects the engine's specialized gate program; costs
-    are bit-identical either way, so it does not enter the cache key. *)
+    not converge within the (generous) fragment limits. *)
 val characterize :
   ?cache:Cache.t ->
   ?pool:Parallel.Pool.t ->
-  ?specialize:bool ->
   ?max_cycles_per_path:int ->
   ?max_paths:int ->
   Poweran.t ->

@@ -91,7 +91,7 @@ let dominators nodes entry ~preds =
   done;
   dom
 
-let analyze ?cache ?pool ?specialize ?(name = "program") ~loop_bound pa cpu
+let analyze ?cache ?pool ?(name = "program") ~loop_bound pa cpu
     (img : Isa.Asm.image) =
   Telemetry.span "static" @@ fun () ->
   let pool = match pool with Some _ as p -> p | None -> Parallel.auto () in
@@ -111,8 +111,7 @@ let analyze ?cache ?pool ?specialize ?(name = "program") ~loop_bound pa cpu
         | Some c -> c
         | None ->
           let c =
-            Blockchar.characterize ?cache ?pool ?specialize pa cpu img
-              (block_of start)
+            Blockchar.characterize ?cache ?pool pa cpu img (block_of start)
           in
           Hashtbl.replace costs start c;
           c
@@ -156,8 +155,8 @@ let analyze ?cache ?pool ?specialize ?(name = "program") ~loop_bound pa cpu
             (fun s ->
               ( s,
                 Parallel.Pool.async p (fun () ->
-                    Blockchar.characterize ?cache ~pool:p ?specialize pa cpu
-                      img (block_of s)) ))
+                    Blockchar.characterize ?cache ~pool:p pa cpu img
+                      (block_of s)) ))
             !order
         in
         List.iter

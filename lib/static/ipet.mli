@@ -47,13 +47,10 @@ type t = {
 
     [pool] defaults to the ambient {!Parallel.auto} pool; reachable
     blocks are characterized as independent pool tasks (results merged
-    by block start, so the output is bit-identical at any job count).
-    [specialize] (default on) selects the engines' specialized gate
-    programs; bounds are bit-identical either way. *)
+    by block start, so the output is bit-identical at any job count). *)
 val analyze :
   ?cache:Cache.t ->
   ?pool:Parallel.Pool.t ->
-  ?specialize:bool ->
   ?name:string ->
   loop_bound:int ->
   Poweran.t ->

@@ -164,21 +164,12 @@ module Ctx = struct
     jobs : int option;
     telemetry : Telemetry.t option;
     tier : Tier.t;
-    specialize : bool;
   }
 
-  let default =
-    {
-      cache = None;
-      jobs = None;
-      telemetry = None;
-      tier = Tier.Exact;
-      specialize = true;
-    }
+  let default = { cache = None; jobs = None; telemetry = None; tier = Tier.Exact }
 
-  let create ?cache ?jobs ?telemetry ?(tier = Tier.Exact)
-      ?(specialize = true) () =
-    { cache; jobs; telemetry; tier; specialize }
+  let create ?cache ?jobs ?telemetry ?(tier = Tier.Exact) () =
+    { cache; jobs; telemetry; tier }
 end
 
 type program = {
@@ -339,8 +330,8 @@ let analyze ?(ctx = Ctx.default) p =
   with_env (fun cpu pa ->
       let exact () =
         match
-          Core.Analyze.run ~config:(config_of p) ?cache:ctx.Ctx.cache
-            ~specialize:ctx.Ctx.specialize pa cpu p.p_image
+          Core.Analyze.run ~config:(config_of p) ?cache:ctx.Ctx.cache pa cpu
+            p.p_image
         with
         | a ->
           let pe = a.Core.Analyze.peak_energy in
@@ -379,8 +370,7 @@ let analyze ?(ctx = Ctx.default) p =
       in
       let static () =
         match
-          Static.Ipet.analyze ?cache:ctx.Ctx.cache
-            ~specialize:ctx.Ctx.specialize ~name:p.p_name
+          Static.Ipet.analyze ?cache:ctx.Ctx.cache ~name:p.p_name
             ~loop_bound:p.loop_bound pa cpu p.p_image
         with
         | Error e ->
@@ -444,8 +434,7 @@ let run_concrete ?(ctx = Ctx.default) p ~inputs =
   in_ctx ctx @@ fun () ->
   with_env (fun cpu pa ->
       match
-        Core.Analyze.run_concrete ~specialize:ctx.Ctx.specialize pa cpu
-          p.p_image ~inputs
+        Core.Analyze.run_concrete pa cpu p.p_image ~inputs
       with
       | cycles, trace ->
         let peak_w, peak_cycle = Poweran.peak_of trace in
@@ -476,9 +465,6 @@ let explain ?ctx ?(top = 4) ?(min_gap = 5) a =
     in_ctx ctx @@ fun () ->
     (* [a] exists, so the environment was already elaborated. *)
     let cpu, pa = env () in
-    (* [folded] is passed regardless of [ctx.specialize] — the class
-       labeling comes from the netlist analysis, not the engine mode, so
-       reports are byte-identical with specialization on or off. *)
     Explain.Report.build ~top ~min_gap ~phases:a.phase_timings
       ~counters:a.counter_deltas
       ~folded:(Core.Analyze.folded_pred cpu)

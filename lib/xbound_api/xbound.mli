@@ -104,15 +104,9 @@ module Ctx : sig
             the call's per-phase timings appear on the result *)
     tier : Tier.t;
         (** which bound tier {!analyze} runs (default [Exact]) *)
-    specialize : bool;
-        (** run engines on the application-specialized gate program
-            (default [true]). Bounds, trees and reports are bit-identical
-            either way — the flag exists for differential testing and as
-            an escape hatch, not as a precision trade-off. *)
   }
 
-  (** No cache, inherited job count, no telemetry, exact tier,
-      specialization on. *)
+  (** No cache, inherited job count, no telemetry, exact tier. *)
   val default : t
 
   val create :
@@ -120,7 +114,6 @@ module Ctx : sig
     ?jobs:int ->
     ?telemetry:Telemetry.t ->
     ?tier:Tier.t ->
-    ?specialize:bool ->
     unit ->
     t
 end

@@ -159,7 +159,7 @@ let test_key_two_contexts () =
     Alcotest.(check string) "f1610 context" d_f (Core.Key.poweran pa_f)
   done;
   let calls = ref 0 in
-  let memo = Core.Key.identity_memo (fun p -> incr calls; Cache.Key.of_value p) in
+  let memo = Parallel.identity_memo (fun p -> incr calls; Cache.Key.of_value p) in
   for _ = 1 to 3 do
     Alcotest.(check string) "memo default" d (memo pa);
     Alcotest.(check string) "memo f1610" d_f (memo pa_f)

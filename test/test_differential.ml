@@ -663,30 +663,20 @@ let test_seen_share_safety () =
   Alcotest.(check int) "old child private write" 1000 (Seen.visits oldest "d59");
   Alcotest.(check int) "parent unaffected" 60 (Seen.visits parent "d59")
 
-(* ---------------- application specialization ---------------- *)
+(* ---------------- constant analysis ---------------- *)
 
-(* The specialized gate program ([Netlist.Specialize] + the engine's
-   dual-program switch) claims to be unobservable: Algorithm 1 trees,
-   dedup digests, flattened traces, peak power/energy bounds and the
-   explain class sums must be bit-identical with specialization on or
-   off. These tests enforce that on every paper kernel, and on
-   randomized netlists with injected constant cones where the folded
-   set is known by construction. *)
+(* [Netlist.Specialize] proves nets constant over the reset protocol;
+   explain reports their power as a "constant" class. These tests check
+   the fold results on randomized netlists with injected constant cones,
+   where the folded set is known by construction, and the class sums on
+   a paper kernel. *)
 
-let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
-
-(* A mode-independent digest of an execution tree: the flattened trace,
-   the sorted dedup-registry keys and the initial net values. *)
-let tree_digest (t : Gatesim.Trace.tree) =
-  let keys =
-    Hashtbl.fold (fun k _ acc -> k :: acc) t.Gatesim.Trace.registry []
-    |> List.sort String.compare
-  in
-  digest_of (Gatesim.Trace.flatten t, keys, t.Gatesim.Trace.initial)
-
-let run_bench ~specialize (b : Benchprogs.Bench.t) =
+(* Explain attribution: the folded-gate relabeling moves addends into a
+   "constant" class without changing the cycle total. *)
+let test_spec_class_sums () =
   let cpu = Tsupport.the_cpu () in
   let pa = Core.Analyze.poweran_for cpu in
+  let b = Benchprogs.Bench.find "tea8" in
   let config =
     {
       Core.Analyze.default_config with
@@ -694,136 +684,26 @@ let run_bench ~specialize (b : Benchprogs.Bench.t) =
       max_paths = b.Benchprogs.Bench.max_paths;
     }
   in
-  Core.Analyze.run ~config ~specialize pa cpu (Benchprogs.Bench.assemble b)
-
-(* All 14 paper kernels, full Algorithm 1 + bounds, spec on vs off. *)
-let test_spec_bench_identity () =
-  List.iter
-    (fun (b : Benchprogs.Bench.t) ->
-      let name = b.Benchprogs.Bench.name in
-      let on = run_bench ~specialize:true b in
-      let off = run_bench ~specialize:false b in
-      Alcotest.(check int)
-        (name ^ ": paths")
-        off.Core.Analyze.sym_stats.Gatesim.Sym.paths
-        on.Core.Analyze.sym_stats.Gatesim.Sym.paths;
-      Alcotest.(check int)
-        (name ^ ": forks")
-        off.Core.Analyze.sym_stats.Gatesim.Sym.forks
-        on.Core.Analyze.sym_stats.Gatesim.Sym.forks;
-      Alcotest.(check int)
-        (name ^ ": dedup hits")
-        off.Core.Analyze.sym_stats.Gatesim.Sym.dedup_hits
-        on.Core.Analyze.sym_stats.Gatesim.Sym.dedup_hits;
-      Alcotest.(check string)
-        (name ^ ": tree digest")
-        (tree_digest off.Core.Analyze.tree)
-        (tree_digest on.Core.Analyze.tree);
-      Alcotest.(check (float 0.0))
-        (name ^ ": peak power bound")
-        off.Core.Analyze.peak_power on.Core.Analyze.peak_power;
-      Alcotest.(check int)
-        (name ^ ": peak cycle")
-        off.Core.Analyze.peak_index on.Core.Analyze.peak_index;
-      Alcotest.(check (array (float 0.0)))
-        (name ^ ": power trace")
-        off.Core.Analyze.power_trace on.Core.Analyze.power_trace;
-      Alcotest.(check (float 0.0))
-        (name ^ ": peak energy bound")
-        off.Core.Analyze.peak_energy.Core.Peak_energy.energy
-        on.Core.Analyze.peak_energy.Core.Peak_energy.energy;
-      Alcotest.(check int)
-        (name ^ ": worst path cycles")
-        off.Core.Analyze.peak_energy.Core.Peak_energy.cycles
-        on.Core.Analyze.peak_energy.Core.Peak_energy.cycles;
-      Alcotest.(check (float 0.0))
-        (name ^ ": npe")
-        off.Core.Analyze.peak_energy.Core.Peak_energy.npe
-        on.Core.Analyze.peak_energy.Core.Peak_energy.npe)
-    Benchprogs.Bench.all
-
-(* Explain attribution: the folded-gate relabeling moves addends into a
-   "constant" class without changing the cycle total, and the breakdown
-   is identical whichever engine mode produced the trace. *)
-let test_spec_class_sums () =
-  let cpu = Tsupport.the_cpu () in
-  let pa = Core.Analyze.poweran_for cpu in
-  let b = Benchprogs.Bench.find "tea8" in
-  let on = run_bench ~specialize:true b in
-  let off = run_bench ~specialize:false b in
+  let a = Core.Analyze.run ~config pa cpu (Benchprogs.Bench.assemble b) in
   let folded = Core.Analyze.folded_pred cpu in
-  let cy_on = on.Core.Analyze.flattened.(on.Core.Analyze.peak_index) in
-  let cy_off = off.Core.Analyze.flattened.(off.Core.Analyze.peak_index) in
-  let bd_on = Poweran.class_breakdown ~folded pa ~mode:`Max cy_on in
-  let bd_off = Poweran.class_breakdown ~folded pa ~mode:`Max cy_off in
-  Alcotest.(check (list (pair string (float 0.0))))
-    "breakdown identical across engine modes" bd_off bd_on;
+  let cy = a.Core.Analyze.flattened.(a.Core.Analyze.peak_index) in
+  let bd = Poweran.class_breakdown ~folded pa ~mode:`Max cy in
   Alcotest.(check bool)
     "constant class present" true
-    (List.mem_assoc "constant" bd_on);
+    (List.mem_assoc "constant" bd);
   let sum l = List.fold_left (fun a (_, v) -> a +. v) 0. l in
-  let plain = Poweran.class_breakdown pa ~mode:`Max cy_on in
+  let plain = Poweran.class_breakdown pa ~mode:`Max cy in
   Alcotest.(check (float 1e-12))
-    "relabeling preserves the class sum" (sum plain) (sum bd_on);
+    "relabeling preserves the class sum" (sum plain) (sum bd);
   Alcotest.(check (float 1e-12))
     "classes sum to the cycle total"
-    on.Core.Analyze.power_trace.(on.Core.Analyze.peak_index)
-    (sum bd_on)
-
-(* Protocol-shaped activation on the real CPU: the engine must switch to
-   the specialized program once reset deasserts and the state verifies,
-   fall back when reset is re-asserted, and re-activate after. *)
-let test_spec_cpu_activation () =
-  let cpu = Tsupport.the_cpu () in
-  let sp = Core.Analyze.specialization_for cpu in
-  Alcotest.(check bool)
-    "CPU netlist folds gates" true
-    (Netlist.Specialize.folded_count sp > 0);
-  let img = assemble branch_program in
-  let e =
-    Gatesim.Engine.create ~spec:sp cpu.Cpu.netlist ~ports:cpu.Cpu.ports
-      ~mem:(Cpu.mem_of_image img)
-  in
-  (match Gatesim.Engine.specialization e with
-  | Some (f, s) ->
-    Alcotest.(check int)
-      "engine reports folded count" (Netlist.Specialize.folded_count sp) f;
-    Alcotest.(check int)
-      "engine reports swept count" (Netlist.Specialize.swept sp) s
-  | None -> Alcotest.fail "engine carries no specialization");
-  Alcotest.(check bool)
-    "starts on the full program" false
-    (Gatesim.Engine.specialized_active e);
-  let reset_then_run () =
-    Gatesim.Engine.set_reset e Tri.One;
-    for _ = 1 to 2 do
-      ignore (Gatesim.Engine.step e)
-    done;
-    Alcotest.(check bool)
-      "full program while reset is asserted" false
-      (Gatesim.Engine.specialized_active e);
-    Gatesim.Engine.set_reset e Tri.Zero;
-    for _ = 1 to 5 do
-      ignore (Gatesim.Engine.step e)
-    done
-  in
-  reset_then_run ();
-  Alcotest.(check bool)
-    "activates after reset deasserts" true
-    (Gatesim.Engine.specialized_active e);
-  (* Re-asserting reset invalidates the invariants: the engine must
-     unspecialize, then re-activate after the next reset sequence. *)
-  reset_then_run ();
-  Alcotest.(check bool)
-    "re-activates after a second reset" true
-    (Gatesim.Engine.specialized_active e)
+    a.Core.Analyze.power_trace.(a.Core.Analyze.peak_index)
+    (sum bd)
 
 (* Randomized netlists with an injected constant cone: gates wired to
    [Const] cells (and to the folded reset input) whose invariant values
    are known by construction. [Specialize] must fold exactly those
-   values, and an engine running the specialized program must stay in
-   lockstep with the reference interpreter — including activation,
-   snapshot/restore and reset-induced fallback. *)
+   values. *)
 let test_spec_constant_injection () =
   for trial = 0 to 9 do
     let rng = Random.State.make [| 0xc0de; trial |] in
@@ -883,28 +763,11 @@ let test_spec_constant_injection () =
     (* a flop fed by a folded net folds to that value *)
     let d_const = Netlist.Builder.add_dff b in
     Netlist.Builder.set_dff_input b d_const k1;
-    (* a live gate reading a folded net must keep seeing the frozen
-       constant after the switch (boundary of the specialized program) *)
-    let _boundary = Netlist.Builder.add_gate b Netlist.And2 [| k1; live () |] in
+    (* a live gate reading a folded net stays live *)
+    let boundary = Netlist.Builder.add_gate b Netlist.And2 [| k1; live () |] in
     let n_injected = List.length !expected in
     Array.iter (fun id -> Netlist.Builder.set_dff_input b id (pick ())) dffs;
     let nl = Netlist.Builder.freeze b in
-    let bus k = Array.init k (fun _ -> pick ()) in
-    let ports =
-      {
-        Gatesim.Engine.reset;
-        port_in;
-        mem_addr = bus 16;
-        mem_rdata = rdata;
-        mem_wdata = bus 16;
-        mem_ren = zero;
-        mem_wen = zero;
-        pc = bus 4;
-        state = bus 3;
-        ir = bus 4;
-        fork_net = None;
-      }
-    in
     let sp = Netlist.Specialize.compute nl ~reset in
     List.iter
       (fun (id, code) ->
@@ -933,66 +796,10 @@ let test_spec_constant_injection () =
       (Printf.sprintf "trial %d: dead cone swept" trial)
       true
       (Netlist.Specialize.swept sp >= 1);
-    (* Lockstep under the reset protocol, across activation, fallback,
-       snapshot and restore. *)
-    let mk () = Gatesim.Mem.create ~rom:[] ~ram_base:0x1000 ~ram_bytes:64 in
-    let e = Gatesim.Engine.create ~spec:sp nl ~ports ~mem:(mk ()) in
-    let r = Gatesim.Refsim.create nl ~ports ~mem:(mk ()) in
-    let cyc = ref 0 in
-    let step_both tag =
-      incr cyc;
-      let drives = Array.init 8 (fun _ -> random_trit rng) in
-      Gatesim.Engine.set_port_in e drives;
-      Gatesim.Refsim.set_port_in r drives;
-      check_cycle
-        (Printf.sprintf "spec trial %d %s cycle %d" trial tag !cyc)
-        (Gatesim.Engine.step e) (Gatesim.Refsim.step r);
-      Alcotest.(check (array int))
-        (Printf.sprintf "spec trial %d %s cycle %d: values" trial tag !cyc)
-        (Gatesim.Refsim.values_snapshot r)
-        (Gatesim.Engine.values_snapshot e)
-    in
-    let set_reset v =
-      Gatesim.Engine.set_reset e v;
-      Gatesim.Refsim.set_reset r v
-    in
-    set_reset Tri.One;
-    step_both "reset";
-    step_both "reset";
-    set_reset Tri.Zero;
-    for _ = 1 to 10 do
-      step_both "settled"
-    done;
     Alcotest.(check bool)
-      (Printf.sprintf "trial %d: specialized program activated" trial)
-      true
-      (Gatesim.Engine.specialized_active e);
-    let se = Gatesim.Engine.snapshot e and sr = Gatesim.Refsim.snapshot r in
-    for _ = 1 to 5 do
-      step_both "diverged"
-    done;
-    Gatesim.Engine.restore e se;
-    Gatesim.Refsim.restore r sr;
-    for _ = 1 to 5 do
-      step_both "restored"
-    done;
-    (* re-assert reset: the engine must fall back to the full program
-       and stay in lockstep throughout *)
-    set_reset Tri.One;
-    step_both "re-reset";
-    Alcotest.(check bool)
-      (Printf.sprintf "trial %d: fallback under reset" trial)
+      (Printf.sprintf "trial %d: live reader of a folded net stays live" trial)
       false
-      (Gatesim.Engine.specialized_active e);
-    step_both "re-reset";
-    set_reset Tri.Zero;
-    for _ = 1 to 5 do
-      step_both "re-settled"
-    done;
-    Alcotest.(check bool)
-      (Printf.sprintf "trial %d: re-activated" trial)
-      true
-      (Gatesim.Engine.specialized_active e)
+      (Netlist.Specialize.is_folded sp boundary)
   done
 
 (* ---------------- telemetry hooks ---------------- *)
@@ -1049,9 +856,7 @@ let () =
         ] );
       ( "specialization",
         [
-          Alcotest.test_case "bench identity" `Slow test_spec_bench_identity;
           Alcotest.test_case "class sums" `Slow test_spec_class_sums;
-          Alcotest.test_case "cpu activation" `Quick test_spec_cpu_activation;
           Alcotest.test_case "constant injection" `Quick
             test_spec_constant_injection;
         ] );
