@@ -29,7 +29,6 @@ let list_experiments () =
     (fun (id, title, _) -> Printf.printf "  %-10s %s\n" id title)
     Report.Experiments.all;
   print_endline "  micro      bechamel micro-benchmarks (--smoke: tiny quota)";
-  print_endline "  serve      daemon throughput/latency (--smoke: tiny quota)";
   print_endline "  compare    diff two bench records with --tolerance";
   print_endline "  ablate     ablation studies"
 
@@ -41,45 +40,17 @@ let time f =
 
 (* ---------------- micro-benchmarks ---------------- *)
 
+module J = Explain.Ejson
+
+let floats kvs = J.Obj (List.map (fun (k, v) -> (k, J.Num v)) kvs)
+
 (* Machine-readable mirror of the console output, so the perf trajectory
    is trackable across commits: run with -j 1 and -j N and compare the
    two files. *)
-let write_bench_json entries cycles_per_run ~row_extras ~cache_json
-    ~phases_json ~static_json ~gaps_json ~parallel_jobs ~parallel_speedup =
-  let oc = open_out "BENCH_micro.json" in
-  Printf.fprintf oc "{\n  \"jobs\": %d,\n  \"results\": [\n"
-    (Parallel.default_jobs ());
-  let last = List.length entries - 1 in
-  List.iteri
-    (fun i (name, ns) ->
-      let runs_per_s = if ns > 0. then 1e9 /. ns else 0. in
-      let cyc =
-        match List.assoc_opt name cycles_per_run with
-        | Some c -> Printf.sprintf ", \"cycles_per_s\": %.1f" (c *. runs_per_s)
-        | None -> ""
-      in
-      let extra =
-        match List.assoc_opt name row_extras with Some s -> s | None -> ""
-      in
-      Printf.fprintf oc
-        "    {\"name\": %S, \"ns_per_run\": %.1f, \"runs_per_s\": %.3f%s%s}%s\n"
-        name ns runs_per_s cyc extra
-        (if i = last then "" else ","))
-    entries;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"phases\": %s,\n\
-    \  \"cache\": %s,\n\
-    \  \"static\": %s,\n\
-    \  \"static_gap_pct\": %s,\n\
-    \  \"parallel_jobs\": %d,\n\
-    \  \"parallel_speedup\": %s\n\
-     }\n"
-    phases_json cache_json static_json gaps_json parallel_jobs
-    (match parallel_speedup with
-    | Some s -> Printf.sprintf "%.3f" s
-    | None -> "null");
-  close_out oc;
+let write_bench_json doc =
+  Out_channel.with_open_text "BENCH_micro.json" (fun oc ->
+      output_string oc (J.to_string ~indent:2 doc);
+      output_char oc '\n');
   prerr_endline "wrote BENCH_micro.json"
 
 let iso8601_now () =
@@ -103,7 +74,7 @@ let append_history record =
 (* Cold vs warm full-analysis timing through the content-addressed
    cache. The warm pass uses a second Cache.t on the same directory, so
    it measures a fresh process hitting the disk layer, not the in-memory
-   LRU. Returns the JSON blob for BENCH_micro.json. *)
+   LRU. Returns the "cache" object for BENCH_micro.json. *)
 let bench_cache pa cpu img =
   let dir = Filename.temp_file "xbound-bench-cache" "" in
   Sys.remove dir;
@@ -126,21 +97,35 @@ let bench_cache pa cpu img =
   Printf.printf
     "%-28s cold %.3f s, warm %.3f s (%.0fx), bounds byte-identical: %b\n"
     "cache-analysis-tea8" cold_s warm_s speedup identical;
-  print_endline ("cache counters (warm): " ^ Cache.counters_json warm_cache);
+  let c = Cache.counters warm_cache in
+  let counters =
+    J.Obj
+      (List.map
+         (fun (k, v) -> (k, J.Num (float_of_int v)))
+         [
+           ("mem_hits", c.Cache.mem_hits); ("disk_hits", c.Cache.disk_hits);
+           ("misses", c.Cache.misses); ("stores", c.Cache.stores);
+           ("evictions", c.Cache.evictions); ("corrupt", c.Cache.corrupt);
+           ("joined", c.Cache.joined);
+         ])
+  in
+  print_endline ("cache counters (warm): " ^ J.to_string counters);
   let json =
-    Printf.sprintf
-      "{\"cold_s\": %.4f, \"warm_s\": %.5f, \"speedup\": %.1f, \
-       \"bounds_identical\": %b, \"warm_counters\": %s}"
-      cold_s warm_s speedup identical
-      (Cache.counters_json warm_cache)
+    J.Obj
+      [
+        ("cold_s", J.Num cold_s); ("warm_s", J.Num warm_s);
+        ("speedup", J.Num speedup); ("bounds_identical", J.Bool identical);
+        ("warm_counters", counters);
+      ]
   in
   Cache.clear warm_cache;
   (try Sys.rmdir dir with Sys_error _ -> ());
   (json, cold_s, warm_s, speedup)
 
 (* Cold vs warm static-tier timing through the "block" cache namespace,
-   same two-Cache.t protocol as [bench_cache]. Returns the JSON blob and
-   the warm ns/run for the results row that `bench compare` gates. *)
+   same two-Cache.t protocol as [bench_cache]. Returns the cold and warm
+   seconds (the warm one feeds the results row that `bench compare`
+   gates) and the speedup. *)
 let bench_static pa cpu img (b : Benchprogs.Bench.t) =
   let dir = Filename.temp_file "xbound-bench-static" "" in
   Sys.remove dir;
@@ -268,20 +253,21 @@ let micro ~smoke () =
     float_of_int (get "engine.words_evaluated")
     /. float_of_int (max 1 (get "engine.cycles"))
   in
-  let row_extras =
-    let extra =
-      Printf.sprintf ", \"gate_count\": %d, \"words_per_cycle\": %.1f"
-        (Netlist.gate_count cpu.Cpu.netlist)
-        words_per_cycle
-    in
-    List.map
-      (fun name -> (name, extra))
+  let row_extras name =
+    if
+      List.mem name
+        [
+          "symbolic-analysis-tea8";
+          "symbolic-analysis-tea8-j1";
+          "symbolic-analysis-tea8-jN";
+          "symbolic-analysis-div-j1";
+        ]
+    then
       [
-        "symbolic-analysis-tea8";
-        "symbolic-analysis-tea8-j1";
-        "symbolic-analysis-tea8-jN";
-        "symbolic-analysis-div-j1";
+        ("gate_count", J.Num (float_of_int (Netlist.gate_count cpu.Cpu.netlist)));
+        ("words_per_cycle", J.Num words_per_cycle);
       ]
+    else []
   in
   (* One fully instrumented, uncached reference analysis: its per-phase
      wall-time breakdown is mirrored into BENCH_micro.json, and the same
@@ -291,12 +277,6 @@ let micro ~smoke () =
   Telemetry.write_chrome tel ~file:"BENCH_micro_trace.json";
   prerr_endline "wrote BENCH_micro_trace.json";
   let phases = Telemetry.phase_totals tel in
-  let phases_json =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (name, s) -> Printf.sprintf "%S: %.4f" name s) phases)
-    ^ "}"
-  in
   Printf.printf "%-28s %s\n" "phase-breakdown-tea8"
     (String.concat ", "
        (List.map (fun (name, s) -> Printf.sprintf "%s %.3fs" name s) phases));
@@ -363,18 +343,6 @@ let micro ~smoke () =
   in
   Printf.printf "%-28s %.0fx (warm static vs exact)\n" "static-vs-exact-tea8"
     static_vs_exact;
-  let static_json =
-    Printf.sprintf
-      "{\"cold_s\": %.4f, \"warm_s\": %.5f, \"speedup\": %.1f, \
-       \"vs_exact_speedup\": %.1f}"
-      st_cold_s st_warm_s st_speedup static_vs_exact
-  in
-  let gaps_json =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (n, g) -> Printf.sprintf "%S: %.2f" n g) gaps)
-    ^ "}"
-  in
   let parallel_speedup =
     match
       ( List.assoc_opt "symbolic-analysis-tea8-j1" entries,
@@ -387,8 +355,36 @@ let micro ~smoke () =
   | Some s ->
     Printf.printf "%-28s %.2fx at -j%d\n" "parallel-speedup-tea8" s par_jobs
   | None -> ());
-  write_bench_json entries cycles_per_run ~row_extras ~cache_json ~phases_json
-    ~static_json ~gaps_json ~parallel_jobs:par_jobs ~parallel_speedup;
+  let row (name, ns) =
+    let runs_per_s = if ns > 0. then 1e9 /. ns else 0. in
+    J.Obj
+      ([
+         ("name", J.Str name); ("ns_per_run", J.Num ns);
+         ("runs_per_s", J.Num runs_per_s);
+       ]
+      @ (match List.assoc_opt name cycles_per_run with
+        | Some c -> [ ("cycles_per_s", J.Num (c *. runs_per_s)) ]
+        | None -> [])
+      @ row_extras name)
+  in
+  write_bench_json
+    (J.Obj
+       [
+         ("jobs", J.Num (float_of_int (Parallel.default_jobs ())));
+         ("results", J.Arr (List.map row entries));
+         ("phases", floats phases);
+         ("cache", cache_json);
+         ( "static",
+           floats
+             [
+               ("cold_s", st_cold_s); ("warm_s", st_warm_s);
+               ("speedup", st_speedup); ("vs_exact_speedup", static_vs_exact);
+             ] );
+         ("static_gap_pct", floats gaps);
+         ("parallel_jobs", J.Num (float_of_int par_jobs));
+         ( "parallel_speedup",
+           match parallel_speedup with Some s -> J.Num s | None -> J.Null );
+       ]);
   append_history
     {
       Explain.Regress.label = "micro";
@@ -403,175 +399,6 @@ let micro ~smoke () =
       parallel_speedup;
       static_gap_pct = gaps;
     }
-
-(* ---------------- serve throughput ---------------- *)
-
-(* Throughput and latency of the xbound serve daemon, measured in
-   process: a server on a temp unix socket, N concurrent clients each
-   firing repeated `analyze tea8` requests. After the first request
-   warms the shared cache, every further one is an LRU hit — the number
-   this records is the service overhead (framing, scheduling, cache
-   lookup), which is exactly what the daemon exists to make cheap. The
-   cold single-shot time is the CLI baseline the daemon is compared
-   to. *)
-let bench_serve ~smoke () =
-  let clients = if smoke then 2 else 4 in
-  let per_client = if smoke then 10 else 50 in
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xbound-bench-serve-%d.sock" (Unix.getpid ()))
-  in
-  let cache_dir = Filename.temp_file "xbound-bench-serve" "" in
-  Sys.remove cache_dir;
-  (* Cold single-shot baseline: what one CLI invocation pays, including
-     the analysis itself (fresh cache, nothing warm). *)
-  let cold_ctx = Xbound.Ctx.create ~cache:(Cache.create ~dir:cache_dir ()) () in
-  let (), cold_s =
-    time (fun () ->
-        match
-          Serve.Exec.exec ~ctx:cold_ctx
-            (Wire.Request.Analyze { bench = "tea8"; tier = Xbound.Tier.Exact })
-        with
-        | Ok _ -> ()
-        | Error e -> failwith (Xbound.Error.to_string e))
-  in
-  let tel = Telemetry.create () in
-  let h_rtt = Telemetry.Histogram.make "bench.serve.rtt_ns" in
-  let reqs_per_s, p50_ms, p99_ms =
-    Telemetry.with_ambient tel @@ fun () ->
-    let server =
-      match
-        Serve.Server.start
-          (Serve.Server.config ~workers:2 ~queue_capacity:64
-             ~listen:(Serve.Addr.Unix_sock sock)
-             ~ctx:
-               (Xbound.Ctx.create ~cache:(Cache.create ~dir:cache_dir ()) ())
-             ())
-      with
-      | Ok s -> s
-      | Error m -> failwith ("bench serve: " ^ m)
-    in
-    Fun.protect ~finally:(fun () -> Serve.Server.stop server) @@ fun () ->
-    let drive () =
-      match Serve.Client.connect (Serve.Addr.Unix_sock sock) with
-      | Error m -> failwith ("bench serve: " ^ m)
-      | Ok client ->
-        Fun.protect ~finally:(fun () -> Serve.Client.close client)
-        @@ fun () ->
-        for _ = 1 to per_client do
-          let r0 = Telemetry.now_ns () in
-          (match
-             Serve.Client.rpc client (Wire.Request.Analyze { bench = "tea8"; tier = Xbound.Tier.Exact })
-           with
-          | Ok _ -> ()
-          | Error e -> failwith (Xbound.Error.to_string e));
-          Telemetry.Histogram.observe h_rtt
-            (Int64.sub (Telemetry.now_ns ()) r0)
-        done
-    in
-    (* One warming request so the measured window is steady-state. *)
-    (match Serve.Client.connect (Serve.Addr.Unix_sock sock) with
-    | Error m -> failwith ("bench serve: " ^ m)
-    | Ok client ->
-      ignore (Serve.Client.rpc client (Wire.Request.Analyze { bench = "tea8"; tier = Xbound.Tier.Exact }));
-      Serve.Client.close client);
-    let (), dt =
-      time (fun () ->
-          List.iter Thread.join
-            (List.init clients (fun _ -> Thread.create drive ())))
-    in
-    let total = clients * per_client in
-    let ms q =
-      Int64.to_float (Telemetry.Histogram.percentile h_rtt q) /. 1e6
-    in
-    (float_of_int total /. dt, ms 0.5, ms 0.99)
-  in
-  let speedup = reqs_per_s *. cold_s in
-  (* The server ran in-process under the same ambient sink, so its
-     admission histograms are readable here: how deep the queue got and
-     how long requests waited in it. *)
-  let queue_depth_p99 =
-    Int64.to_float
-      (Telemetry.Histogram.percentile
-         (Telemetry.Histogram.make "serve.queue_depth")
-         0.99)
-  in
-  let queue_wait = Telemetry.Histogram.make "serve.queue_wait_ns" in
-  let queue_wait_p50_ms =
-    Int64.to_float (Telemetry.Histogram.percentile queue_wait 0.5) /. 1e6
-  in
-  let queue_wait_p99_ms =
-    Int64.to_float (Telemetry.Histogram.percentile queue_wait 0.99) /. 1e6
-  in
-  Printf.printf
-    "%-28s %.1f req/s (%d clients), rtt p50 %.2f ms, p99 %.2f ms\n"
-    "serve-analyze-tea8" reqs_per_s clients p50_ms p99_ms;
-  Printf.printf
-    "%-28s depth p99 %.0f, wait p50 %.2f ms, p99 %.2f ms\n"
-    "serve-queue" queue_depth_p99 queue_wait_p50_ms queue_wait_p99_ms;
-  Printf.printf
-    "%-28s %.3f s cold single-shot -> %.0fx warm daemon rate\n"
-    "serve-vs-cold" cold_s speedup;
-  (* Merge the serve row into BENCH_micro.json without disturbing the
-     micro rows (bench compare ignores unknown members). *)
-  let serve_json =
-    Explain.Ejson.Obj
-      [
-        ("clients", Explain.Ejson.Num (float_of_int clients));
-        ("requests", Explain.Ejson.Num (float_of_int (clients * per_client)));
-        ("requests_per_s", Explain.Ejson.Num reqs_per_s);
-        ("rtt_p50_ms", Explain.Ejson.Num p50_ms);
-        ("rtt_p99_ms", Explain.Ejson.Num p99_ms);
-        ("queue_depth_p99", Explain.Ejson.Num queue_depth_p99);
-        ("queue_wait_p50_ms", Explain.Ejson.Num queue_wait_p50_ms);
-        ("queue_wait_p99_ms", Explain.Ejson.Num queue_wait_p99_ms);
-        ("cold_single_shot_s", Explain.Ejson.Num cold_s);
-        ("speedup_vs_cold", Explain.Ejson.Num speedup);
-      ]
-  in
-  let doc =
-    match
-      if Sys.file_exists "BENCH_micro.json" then
-        Explain.Ejson.parse_opt
-          (In_channel.with_open_text "BENCH_micro.json" In_channel.input_all)
-      else None
-    with
-    | Some (Explain.Ejson.Obj members) ->
-      Explain.Ejson.Obj
-        (List.remove_assoc "serve" members @ [ ("serve", serve_json) ])
-    | _ -> Explain.Ejson.Obj [ ("serve", serve_json) ]
-  in
-  Out_channel.with_open_text "BENCH_micro.json" (fun oc ->
-      output_string oc (Explain.Ejson.to_string ~indent:2 doc);
-      output_char oc '\n');
-  prerr_endline "merged serve row into BENCH_micro.json";
-  append_history
-    {
-      Explain.Regress.label = "serve";
-      timestamp = Some (iso8601_now ());
-      jobs = Some (Parallel.default_jobs ());
-      results =
-        [
-          ("serve-analyze-tea8-warm", 1e9 /. reqs_per_s);
-          ("serve-rtt-p50", p50_ms *. 1e6);
-          ("serve-rtt-p99", p99_ms *. 1e6);
-          ("serve-queue-depth-p99", queue_depth_p99);
-          ("serve-queue-wait-p50", queue_wait_p50_ms *. 1e6);
-          ("serve-queue-wait-p99", queue_wait_p99_ms *. 1e6);
-        ];
-      phases = [];
-      cache_cold_s = Some cold_s;
-      cache_warm_s = None;
-      cache_speedup = Some speedup;
-      parallel_jobs = None;
-      parallel_speedup = None;
-      static_gap_pct = [];
-    };
-  (* Leave no temp state behind. *)
-  let cache = Cache.create ~dir:cache_dir () in
-  Cache.clear cache;
-  (try Sys.rmdir cache_dir with Sys_error _ -> ());
-  try Sys.remove sock with Sys_error _ -> ()
 
 (* ---------------- ablations (DESIGN.md §5) ---------------- *)
 
@@ -705,7 +532,7 @@ let () =
   let ids_arg =
     let doc =
       "Experiment ids to run (default: every table/figure). Special ids: \
-       $(b,micro), $(b,serve), $(b,compare) $(i,BASE) $(i,CURRENT), \
+       $(b,micro), $(b,compare) $(i,BASE) $(i,CURRENT), \
        $(b,ablate), $(b,list)."
     in
     Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
@@ -747,7 +574,6 @@ let () =
         (fun id ->
           match id with
           | "micro" -> micro ~smoke ()
-          | "serve" -> bench_serve ~smoke ()
           | "ablate" -> ablate ()
           | "list" -> list_experiments ()
           | id ->

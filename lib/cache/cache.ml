@@ -92,13 +92,6 @@ let reset_counters t =
   t.c.joined <- 0;
   Mutex.unlock t.m
 
-let counters_json t =
-  Printf.sprintf
-    "{\"mem_hits\": %d, \"disk_hits\": %d, \"misses\": %d, \"stores\": %d, \
-     \"evictions\": %d, \"corrupt\": %d, \"joined\": %d}"
-    t.c.mem_hits t.c.disk_hits t.c.misses t.c.stores t.c.evictions t.c.corrupt
-    t.c.joined
-
 let default_dir () =
   match Sys.getenv_opt "XBOUND_CACHE_DIR" with
   | Some d when d <> "" -> d
@@ -157,18 +150,13 @@ let rec mkdir_p d =
 
 (* Entries are sharded by the first two hex digits of the key
    (dir/ab/<ns>.abcd....v1), so 256 concurrent writers rename into 256
-   directories instead of contending on one. Entries written by older
-   versions live flat in [dir]; they are still found on load (and moved
-   into their shard as a side effect), and [migrate] relocates them in
-   bulk. *)
+   directories instead of contending on one. *)
 let shard_of key = if String.length key >= 2 then String.sub key 0 2 else "00"
 
 let entry_name ~ns ~key = Printf.sprintf "%s.%s.v%d" ns key format_version
 
 let entry_file dir ~ns ~key =
   Filename.concat (Filename.concat dir (shard_of key)) (entry_name ~ns ~key)
-
-let legacy_entry_file dir ~ns ~key = Filename.concat dir (entry_name ~ns ~key)
 
 (* An on-disk entry is: magic, namespace (length-prefixed), the MD5 of
    the payload, then the marshaled payload. Anything that fails to read
@@ -178,27 +166,9 @@ let disk_load t ~ns ~key =
   match t.dir_ with
   | None -> None
   | Some dir -> (
-    let sharded = entry_file dir ~ns ~key in
-    let legacy = legacy_entry_file dir ~ns ~key in
-    let file =
-      if Sys.file_exists sharded then Some sharded
-      else if Sys.file_exists legacy then begin
-        (* Found where a pre-shard version wrote it: adopt it into its
-           shard (atomic rename; best-effort) and read from wherever it
-           now is. *)
-        (try
-           mkdir_p (Filename.dirname sharded);
-           Sys.rename legacy sharded
-         with Sys_error _ -> ());
-        if Sys.file_exists sharded then Some sharded
-        else if Sys.file_exists legacy then Some legacy
-        else None
-      end
-      else None
-    in
-    match file with
-    | None -> None
-    | Some file ->
+    let file = entry_file dir ~ns ~key in
+    if not (Sys.file_exists file) then None
+    else
       let parse ic =
         let len = in_channel_length ic in
         let m = really_input_string ic (String.length magic) in
@@ -268,45 +238,24 @@ let is_entry_name name =
 
 let is_shard_name name = String.length name = 2 && is_hex name
 
-(* Every entry directory this cache format owns: the root (legacy flat
-   entries) plus each two-hex-digit shard subdirectory. *)
+(* Every entry directory this cache format owns: the two-hex-digit
+   shard subdirectories. *)
 let entry_dirs dir =
   if not (Sys.file_exists dir) then []
   else
-    dir
-    :: (Sys.readdir dir |> Array.to_list
-       |> List.filter_map (fun name ->
-              let sub = Filename.concat dir name in
-              if
-                is_shard_name name
-                && (try Sys.is_directory sub with Sys_error _ -> false)
-              then Some sub
-              else None))
+    Sys.readdir dir |> Array.to_list
+    |> List.filter_map (fun name ->
+           let sub = Filename.concat dir name in
+           if
+             is_shard_name name
+             && (try Sys.is_directory sub with Sys_error _ -> false)
+           then Some sub
+           else None)
 
-let disk_stats t =
-  match t.dir_ with
-  | None -> (0, 0)
-  | Some dir ->
-    List.fold_left
-      (fun acc d ->
-        Array.fold_left
-          (fun (n, bytes) name ->
-            if is_entry_name name then
-              let sz =
-                try
-                  In_channel.with_open_bin (Filename.concat d name)
-                    in_channel_length
-                with Sys_error _ -> 0
-              in
-              (n + 1, bytes + sz)
-            else (n, bytes))
-          acc (Sys.readdir d))
-      (0, 0) (entry_dirs dir)
-
-(* Same walk as [disk_stats], bucketed by the namespace component of
-   the entry name — one row per entry kind ("analysis", "symtree",
-   "block", ...), so `cache stats` can show where the bytes live and
-   namespace-scoped semantics stay auditable. *)
+(* One row per entry kind ("analysis", "symtree", "block", ...), keyed
+   by the namespace component of the entry name, so `cache stats` can
+   show where the bytes live and namespace-scoped semantics stay
+   auditable. *)
 let disk_stats_by_ns t =
   match t.dir_ with
   | None -> []
@@ -335,31 +284,10 @@ let disk_stats_by_ns t =
     Hashtbl.fold (fun ns stats acc -> (ns, stats) :: acc) tbl []
     |> List.sort compare
 
-(* Relocate legacy flat entries into their shard subdirectories (atomic
-   renames); returns how many moved. Safe to run concurrently with
-   readers — they look in both places. *)
-let migrate t =
-  match t.dir_ with
-  | None -> 0
-  | Some dir ->
-    if not (Sys.file_exists dir) then 0
-    else
-      Array.fold_left
-        (fun moved name ->
-          if not (is_entry_name name) then moved
-          else
-            match String.split_on_char '.' name with
-            | [ _ns; digest; _v ] -> (
-              let shard = Filename.concat dir (shard_of digest) in
-              (try mkdir_p shard with Sys_error _ -> ());
-              match
-                Sys.rename (Filename.concat dir name)
-                  (Filename.concat shard name)
-              with
-              | () -> moved + 1
-              | exception Sys_error _ -> moved)
-            | _ -> moved)
-        0 (Sys.readdir dir)
+let disk_stats t =
+  List.fold_left
+    (fun (n, bytes) (_, (n', bytes')) -> (n + n', bytes + bytes'))
+    (0, 0) (disk_stats_by_ns t)
 
 let clear t =
   (match t.dir_ with
@@ -371,8 +299,8 @@ let clear t =
             if is_entry_name name then
               try Sys.remove (Filename.concat d name) with Sys_error _ -> ())
           (Sys.readdir d);
-        (* drop shard directories once empty; the root stays *)
-        if d <> dir then try Sys.rmdir d with Sys_error _ -> ())
+        (* drop shard directories once empty *)
+        try Sys.rmdir d with Sys_error _ -> ())
       (entry_dirs dir)
   | None -> ());
   Mutex.lock t.m;

@@ -14,9 +14,7 @@
       or corrupted entry is treated as a miss — never a crash. Entries
       are {e sharded} by the first two hex digits of their key
       ([dir/ab/<ns>.abcd….v1]) so concurrent writers spread over 256
-      subdirectories; flat entries written by pre-shard versions are
-      still found (and adopted into their shard) on load, or relocated
-      in bulk with {!migrate}.
+      subdirectories.
 
     Typing discipline: {!memo} stores values via [Marshal], so the
     [ns] (namespace) string given to [memo] must uniquely determine the
@@ -83,12 +81,9 @@ val counters : t -> counters
 
 val reset_counters : t -> unit
 
-(** Counters as a JSON object (for [BENCH_micro.json]). *)
-val counters_json : t -> string
-
 (** [(entries, bytes)] currently in the disk layer, summed across the
-    shard subdirectories and any remaining flat legacy entries (0 when
-    memory-only). *)
+    shard subdirectories (0 when memory-only): the sum of
+    {!disk_stats_by_ns}. *)
 val disk_stats : t -> int * int
 
 (** Per-namespace [(ns, (entries, bytes))] rows for the disk layer,
@@ -98,12 +93,7 @@ val disk_stats : t -> int * int
     memory-only. *)
 val disk_stats_by_ns : t -> (string * (int * int)) list
 
-(** Move flat legacy entries into their shard subdirectories (atomic
-    renames, safe under concurrent readers); returns the number moved.
-    The [xbound cache migrate] subcommand calls this. *)
-val migrate : t -> int
-
 (** Drop every in-memory entry and delete every disk entry this cache
-    format owns (files named [<ns>.<digest>.v<version>], flat or
-    sharded; emptied shard subdirectories are removed). *)
+    format owns (files named [<ns>.<digest>.v<version>] in the shard
+    subdirectories; emptied shard subdirectories are removed). *)
 val clear : t -> unit

@@ -142,14 +142,6 @@ type t = {
   ports : ports;
   mem_ : Mem.t;
   tb : tables;
-  gkind : Bytes.t;
-  gf0 : int array;
-  xsp : int array;
-  islot : int array;
-  dff_e : Bytes.t;
-  dff_f0 : int array;
-  dff_f1 : int array;
-  nw : int;  (* words per net-id plane *)
   (* Mutable simulation state. The arrays are copy-on-write: [snapshot]
      freezes them ([shared]), the next mutating entry point clones. *)
   mutable vv : int array;  (* value plane *)
@@ -342,14 +334,6 @@ let make nl ~ports ~mem tb =
     ports;
     mem_ = mem;
     tb;
-    gkind = tb.tb_gkind;
-    gf0 = tb.tb_gf0;
-    xsp = tb.tb_xsp;
-    islot = tb.tb_islot;
-    dff_e = tb.tb_dff_e;
-    dff_f0 = tb.tb_dff_f0;
-    dff_f1 = tb.tb_dff_f1;
-    nw = tb.tb_nw;
     vv = Array.copy tb.tb_init_vv;
     vx = Array.copy tb.tb_init_vx;
     pv = Array.copy tb.tb_init_vv;
@@ -397,7 +381,7 @@ let drive t id v =
   let old = pget t.vv t.vx id in
   if old <> v then begin
     pset t.vv t.vx id v;
-    let slot = Array.unsafe_get t.islot id in
+    let slot = Array.unsafe_get t.tb.tb_islot id in
     if slot >= 0 then
       t.hash <- t.hash lxor Zhash.key slot old lxor Zhash.key slot v;
     mark_fanouts t id
@@ -495,7 +479,9 @@ let finish_cycle t =
   t.mid <- false;
   let nl = t.nl in
   let vv = t.vv and vx = t.vx and pv = t.pv and px = t.px in
-  let nw = t.nw in
+  let tb = t.tb in
+  let nw = tb.tb_nw in
+  let dff_e = tb.tb_dff_e and dff_f0 = tb.tb_dff_f0 and dff_f1 = tb.tb_dff_f1 in
   (* Pending flop values (visible next cycle). An enable-flop holds when
      its enable is 0, loads on 1, and on X keeps its value only if old
      and new agree. Each change is two XORs into the running digest. *)
@@ -503,11 +489,11 @@ let finish_cycle t =
   let dff_next = t.dff_next in
   for i = 0 to Array.length dffs - 1 do
     let nv =
-      if Bytes.unsafe_get t.dff_e i = '\000' then
-        pget vv vx (Array.unsafe_get t.dff_f0 i)
+      if Bytes.unsafe_get dff_e i = '\000' then
+        pget vv vx (Array.unsafe_get dff_f0 i)
       else begin
-        let en = pget vv vx (Array.unsafe_get t.dff_f0 i) in
-        let d = pget vv vx (Array.unsafe_get t.dff_f1 i) in
+        let en = pget vv vx (Array.unsafe_get dff_f0 i) in
+        let d = pget vv vx (Array.unsafe_get dff_f1 i) in
         let q = pget vv vx (Array.unsafe_get dffs i) in
         if en = 0 then q else if en = 1 then d else if d = q then q else xcode
       end
@@ -540,10 +526,11 @@ let finish_cycle t =
      Dffe when the enable wasn't known-0 last cycle (a held unknown
      cannot toggle). *)
   let pav = t.pav in
+  let xsp = tb.tb_xsp and gkind = tb.tb_gkind and gf0 = tb.tb_gf0 in
   for w = 0 to nw - 1 do
     let cand =
       Array.unsafe_get vx w
-      land Array.unsafe_get t.xsp w
+      land Array.unsafe_get xsp w
       land lnot (Array.unsafe_get av w)
     in
     if cand <> 0 then begin
@@ -553,10 +540,10 @@ let finish_cycle t =
         c := !c land (!c - 1);
         let id = (w lsl 5) lor b in
         let act =
-          match Bytes.unsafe_get t.gkind id with
+          match Bytes.unsafe_get gkind id with
           | '\001' -> true
-          | '\002' -> bit_set pav (Array.unsafe_get t.gf0 id)
-          | _ -> pget pv px (Array.unsafe_get t.gf0 id) <> 0
+          | '\002' -> bit_set pav (Array.unsafe_get gf0 id)
+          | _ -> pget pv px (Array.unsafe_get gf0 id) <> 0
         in
         if act then
           Array.unsafe_set av w (Array.unsafe_get av w lor (1 lsl b))
@@ -571,7 +558,7 @@ let finish_cycle t =
      (this sensitization matters: without it, every idle X register
      whose write-data bus toggles would be counted as potentially
      switching each cycle, grossly inflating the bound). *)
-  let cur = t.tb.tb_full in
+  let cur = tb.tb_full in
   let prog = cur.c_prog in
   let ncomb = cur.c_ncomb in
   for k = 0 to ncomb - 1 do
@@ -837,8 +824,8 @@ module Gang = struct
       ldnx = Array.make ndffs 0;
       gdirty = Array.make e.tb.tb_full.c_pw 0;
       ldirty = Array.make e.tb.tb_full.c_ncomb 0;
-      mark = Array.make e.nw 0;
-      markp = Array.make e.nw 0;
+      mark = Array.make e.tb.tb_nw 0;
+      markp = Array.make e.tb.tb_nw 0;
       mems = Array.init width (fun _ -> Mem.like e.mem_);
       hash = Array.make width 0;
       rdrive = Array.make width xcode;
@@ -969,6 +956,7 @@ module Gang = struct
      of live lanes whose branch-decision net settled to X. *)
   let begin_g g =
     let e = g.e in
+    let islot = e.tb.tb_islot in
     let dffs = e.nl.Netlist.dffs in
     for i = 0 to Array.length dffs - 1 do
       store_lanes g
@@ -978,10 +966,10 @@ module Gang = struct
         ~hash_slot:(-1)
     done;
     store_lanes g e.ports.reset g.drv_v.(0) g.drv_x.(0)
-      ~hash_slot:e.islot.(e.ports.reset);
+      ~hash_slot:islot.(e.ports.reset);
     Array.iteri
       (fun j id ->
-        store_lanes g id g.drv_v.(j + 1) g.drv_x.(j + 1) ~hash_slot:e.islot.(id))
+        store_lanes g id g.drv_v.(j + 1) g.drv_x.(j + 1) ~hash_slot:islot.(id))
       e.ports.port_in;
     eval_g g;
     (* Combinational memory read. Per lane: ren 0 = bus keeper (lane
@@ -1024,7 +1012,7 @@ module Gang = struct
       done;
       for j = 0 to nrd - 1 do
         store_lanes g rd.(j) g.rtmp_v.(j) g.rtmp_x.(j)
-          ~hash_slot:e.islot.(rd.(j))
+          ~hash_slot:islot.(rd.(j))
       done
     end;
     eval_g g;
@@ -1037,18 +1025,20 @@ module Gang = struct
   let finish_g g emit =
     let e = g.e in
     let nl = e.nl in
+    let tb = e.tb in
+    let dff_e = tb.tb_dff_e and dff_f0 = tb.tb_dff_f0 and dff_f1 = tb.tb_dff_f1 in
     let live = g.live in
     let lvv = g.lvv and lvx = g.lvx and lpv = g.lpv and lpx = g.lpx in
     (* Pending flop values; two XORs per changed live lane and slot. *)
     let dffs = nl.Netlist.dffs in
     for i = 0 to Array.length dffs - 1 do
       let nv, nx =
-        if Bytes.unsafe_get e.dff_e i = '\000' then
-          let d = Array.unsafe_get e.dff_f0 i in
+        if Bytes.unsafe_get dff_e i = '\000' then
+          let d = Array.unsafe_get dff_f0 i in
           (Array.unsafe_get lvv d, Array.unsafe_get lvx d)
         else
-          let en = Array.unsafe_get e.dff_f0 i in
-          let d = Array.unsafe_get e.dff_f1 i in
+          let en = Array.unsafe_get dff_f0 i in
+          let d = Array.unsafe_get dff_f1 i in
           let q = Array.unsafe_get dffs i in
           Tri.Lanes.dffe_next
             (Array.unsafe_get lvv en) (Array.unsafe_get lvx en)
@@ -1087,7 +1077,7 @@ module Gang = struct
        word-parallel across lanes. *)
     let lav = g.lav and lpav = g.lpav in
     let mark = g.mark in
-    let nw = e.nw in
+    let nw = tb.tb_nw in
     for w = 0 to nw - 1 do
       let b = ref (Array.unsafe_get mark w) in
       while !b <> 0 do
@@ -1106,13 +1096,14 @@ module Gang = struct
           mark_net g id
         end)
       nl.Netlist.inputs;
+    let gf0 = tb.tb_gf0 in
     for i = 0 to Array.length dffs - 1 do
       let id = Array.unsafe_get dffs i in
       let cand = Array.unsafe_get lvx id land lnot (Array.unsafe_get lav id) in
       if cand <> 0 then begin
-        let f0 = Array.unsafe_get e.gf0 id in
+        let f0 = Array.unsafe_get gf0 id in
         let act =
-          if Bytes.unsafe_get e.dff_e i = '\000' then Array.unsafe_get lpav f0
+          if Bytes.unsafe_get dff_e i = '\000' then Array.unsafe_get lpav f0
           else Array.unsafe_get lpv f0 lor Array.unsafe_get lpx f0
         in
         let add = cand land act in
@@ -1122,8 +1113,8 @@ module Gang = struct
         end
       end
     done;
-    let prog = e.tb.tb_full.c_prog in
-    let ncomb = e.tb.tb_full.c_ncomb in
+    let prog = tb.tb_full.c_prog in
+    let ncomb = tb.tb_full.c_ncomb in
     for k = 0 to ncomb - 1 do
       let p = k lsl 2 in
       let hd = Array.unsafe_get prog p in
@@ -1250,7 +1241,7 @@ module Gang = struct
   let extract_lane g l ~mid =
     let e = g.e in
     let n = Netlist.gate_count e.nl in
-    let nw = e.nw in
+    let nw = e.tb.tb_nw in
     let vv = Array.make nw 0 and vx = Array.make nw 0 in
     let pv = Array.make nw 0 and px = Array.make nw 0 in
     let pav = Array.make nw 0 in

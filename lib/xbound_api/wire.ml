@@ -3,20 +3,13 @@
 
 module J = Explain.Ejson
 
-(* v2: tiered bounds. Requests gain an optional "tier" member (absent =
-   exact), Analysis responses carry Bound objects and a tier, and
-   Cache_stats gains per-namespace rows. v1 frames still decode: every
-   addition has a v1 default.
-
-   v3: observability. New admin ops Stats {fmt}, Health and Watch
-   {interval_ms; count} (the server streams [count] snapshot-diff
-   response frames, all carrying the request's id), and Stats/Health
-   responses carrying a Telemetry.Snapshot. Pure additions: every v1/v2
-   frame still decodes unchanged. *)
+(* Version 3. Analyze/Explain requests name their tier, Analysis
+   responses carry Bound objects and a tier, Cache_stats carries
+   per-namespace rows. The admin ops are Stats {fmt} (answered with a
+   Telemetry.Snapshot), Health, and Watch {interval_ms; count} (the
+   server streams [count] snapshot-diff response frames, all carrying
+   the request's id). *)
 let proto_version = 3
-
-(* Lowest request version this server still accepts. *)
-let min_proto_version = 1
 
 type priority = Interactive | Batch
 
@@ -47,8 +40,7 @@ let require what = function Some v -> Ok v | None -> Error ("missing or ill-type
 
 let ( let* ) = Result.bind
 
-(* A Bound.t ships as {value, tier, analysis_version}; a bare number (the
-   v1 shape) decodes as an exact-tier bound. *)
+(* A Bound.t ships as {value, tier, analysis_version}. *)
 let bound_to_json (b : Xbound.Bound.t) =
   J.Obj
     [
@@ -59,7 +51,6 @@ let bound_to_json (b : Xbound.Bound.t) =
 
 let bound_member k j =
   match J.member k j with
-  | Some (J.Num v) -> Some (Xbound.Bound.exact v)
   | Some (J.Obj _ as o) -> (
     match
       ( J.float_member "value" o,
@@ -73,11 +64,7 @@ let bound_member k j =
     | _ -> None)
   | _ -> None
 
-(* Optional "tier" member: absent (v1) means exact. *)
-let tier_member j =
-  match J.string_member "tier" j with
-  | None -> Some Xbound.Tier.Exact
-  | Some s -> Xbound.Tier.of_string s
+let tier_member j = Option.bind (J.string_member "tier" j) Xbound.Tier.of_string
 
 (* Int64 over JSON numbers: bucket upper bounds can be Int64.max_int
    (the open-topped last bucket), which a float cannot represent —
@@ -346,7 +333,7 @@ module Response = struct
         entries : int;
         bytes : int;
         by_ns : (string * (int * int)) list;
-            (** per-namespace (entries, bytes) rows; [[]] from v1 peers *)
+            (** per-namespace (entries, bytes) rows *)
       }
     | Stats of { fmt : Request.stats_fmt; snapshot : Telemetry.Snapshot.t }
     | Health of {
@@ -367,8 +354,6 @@ module Response = struct
           ("paths", num a.paths); ("forks", num a.forks);
           ("dedup_hits", num a.dedup_hits);
           ("total_cycles", num a.total_cycles);
-          (* the keys keep their v1 names; the values became Bound
-             objects (a plain number still decodes, as exact tier) *)
           ("peak_power_w", bound_to_json a.peak_power);
           ("peak_index", num a.peak_index);
           ("peak_energy_j", bound_to_json a.peak_energy);
@@ -540,9 +525,7 @@ module Response = struct
       let* entries = int "entries" in
       let* bytes = int "bytes" in
       let* by_ns =
-        (* absent (v1 peer) means no namespace breakdown *)
         match Option.bind (J.member "by_ns" j) J.to_list with
-        | None when J.member "by_ns" j = None -> Ok []
         | None -> Error "missing or ill-typed by_ns"
         | Some items ->
           let rows =
@@ -612,10 +595,10 @@ let decode_request text =
     let fail m = Error (id, Xbound.Error.Protocol m) in
     match int_member "proto_version" j with
     | None -> fail "missing proto_version"
-    | Some v when v < min_proto_version || v > proto_version ->
+    | Some v when v <> proto_version ->
       fail
-        (Printf.sprintf "unsupported proto_version %d (server speaks %d-%d)" v
-           min_proto_version proto_version)
+        (Printf.sprintf "unsupported proto_version %d (server speaks %d)" v
+           proto_version)
     | Some _ -> (
       match id with
       | None -> fail "missing request id"

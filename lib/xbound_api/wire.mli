@@ -20,28 +20,20 @@
     round-tripping floats). *)
 
 (** Bumped on any incompatible change to the envelope or the
-    request/response schemas; a server rejects versions outside
-    [[min_proto_version, proto_version]] with a typed [Protocol] error.
+    request/response schemas; a server rejects any other version with a
+    typed [Protocol] error.
 
-    v2 (bound tiers): [Analyze]/[Explain] requests gained an optional
-    ["tier"] member (absent means exact — the v1 behaviour);
-    [Analysis] responses carry a ["tier"] member and ship
+    Version 3: [Analyze]/[Explain] requests carry a required ["tier"]
+    member; [Analysis] responses carry a ["tier"] member and ship
     ["peak_power_w"]/["peak_energy_j"] as {!Xbound.Bound.t} objects
-    [{value, tier, analysis_version}] (a bare v1 number still decodes,
-    as an exact-tier bound); [Cache_stats] responses gained a
-    ["by_ns"] per-namespace breakdown (absent means none).
-
-    v3 (observability): new admin ops — [Stats {fmt}] returns a
-    {!Telemetry.Snapshot} (rendered client-side, like every other
-    response), [Health] a cheap liveness summary, and
-    [Watch {interval_ms; count}] makes the server stream [count]
+    [{value, tier, analysis_version}]; [Cache_stats] responses carry a
+    ["by_ns"] per-namespace breakdown. The admin ops are [Stats {fmt}],
+    which returns a {!Telemetry.Snapshot} (rendered client-side, like
+    every other response), [Health], a cheap liveness summary, and
+    [Watch {interval_ms; count}], which makes the server stream [count]
     response frames (one initial full snapshot, then snapshot diffs per
-    interval), every frame carrying the request's id. Pure additions:
-    v1/v2 frames decode unchanged. *)
+    interval), every frame carrying the request's id. *)
 val proto_version : int
-
-(** Lowest request version the server still accepts (currently 1). *)
-val min_proto_version : int
 
 (** The two scheduling classes. The serve scheduler always drains
     [Interactive] requests before [Batch] ones. *)
@@ -133,8 +125,7 @@ module Response : sig
         entries : int;
         bytes : int;
         by_ns : (string * (int * int)) list;
-            (** per-namespace (entries, bytes) rows; [[]] from v1
-                peers *)
+            (** per-namespace (entries, bytes) rows *)
       }
     | Stats of { fmt : Request.stats_fmt; snapshot : Telemetry.Snapshot.t }
         (** the snapshot rides the wire structurally; {!Serve.Render}

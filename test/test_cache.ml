@@ -243,6 +243,9 @@ let test_corrupted_entry_is_a_miss () =
     (Cache.memo c1 ~ns:"t" ~key:k (fun () -> [ 1; 2; 3 ]));
   let files = entry_files dir in
   Alcotest.(check int) "one entry on disk" 1 (List.length files);
+  Alcotest.(check string) "stored sharded"
+    (Filename.concat dir (String.sub k 0 2))
+    (Filename.dirname (List.hd files));
   (* garble the container in place *)
   let path = List.hd files in
   let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 path in

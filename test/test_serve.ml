@@ -238,57 +238,53 @@ let test_response_codec () =
       | Error m -> Alcotest.failf "response codec: %s" m)
     response_samples
 
-(* v1 peers keep working against a v2 endpoint: absent tier means exact,
-   bare bound numbers mean exact-tier bounds, absent by_ns means no
-   breakdown. *)
+(* The server speaks exactly [Wire.proto_version]: older envelopes are
+   refused with a typed protocol error that still echoes their id, and
+   the older body shapes (no "tier", bare-number bounds, no "by_ns") are
+   malformed rather than defaulted. *)
 let test_wire_v1_compat () =
-  checkb "v2 > v1" true (Wire.proto_version > 1);
-  checki "still speaks v1" 1 Wire.min_proto_version;
-  (* v1 analyze request: no "tier" member. *)
-  (match
-     Wire.Request.of_json
-       (Explain.Ejson.parse
-          {|{"op": "analyze", "bench": "tea8"}|})
-   with
-  | Ok (Wire.Request.Analyze { bench = "tea8"; tier = Xbound.Tier.Exact }) -> ()
-  | Ok _ -> Alcotest.fail "v1 analyze decoded to the wrong value"
-  | Error m -> Alcotest.failf "v1 analyze rejected: %s" m);
+  let refused what frame =
+    match Wire.decode_request frame with
+    | Error (Some 5, Xbound.Error.Protocol _) -> ()
+    | Error (id, e) ->
+      Alcotest.failf "%s: id=%s %s" what
+        (match id with Some i -> string_of_int i | None -> "none")
+        (Xbound.Error.to_string e)
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  List.iter
+    (fun v ->
+      refused
+        (Printf.sprintf "v%d envelope" v)
+        (Printf.sprintf
+           {|{"proto_version": %d, "id": 5, "request": {"op": "analyze", "bench": "tea8", "tier": "exact"}}|}
+           v))
+    [ 1; 2 ];
+  refused "analyze without tier"
+    (Printf.sprintf
+       {|{"proto_version": %d, "id": 5, "request": {"op": "analyze", "bench": "tea8"}}|}
+       Wire.proto_version);
   (* An unknown tier string is malformed, not silently exact. *)
   checkb "bad tier rejected" true
     (Result.is_error
        (Wire.Request.of_json
           (Explain.Ejson.parse
              {|{"op": "analyze", "bench": "tea8", "tier": "psychic"}|})));
-  (* v1 analysis response: bare numbers for the bounds, no tier. *)
-  (match
-     Wire.Response.of_json
-       (Explain.Ejson.parse
-          {|{"op": "analysis", "name": "tea8", "paths": 1, "forks": 0,
-             "dedup_hits": 2, "total_cycles": 10, "peak_power_w": 0.002,
-             "peak_index": 3, "peak_energy_j": 1e-9,
-             "peak_energy_cycles": 8, "npe_j_per_cycle": 1e-13,
-             "power_trace_w": [0.001, 0.002]}|})
-   with
-  | Ok
-      (Wire.Response.Analysis
-         { tier = Xbound.Tier.Exact; peak_power; peak_energy; _ }) ->
-    checkb "bound tier exact" true
-      (peak_power.Xbound.Bound.tier = Xbound.Tier.Exact
-      && peak_energy.Xbound.Bound.tier = Xbound.Tier.Exact);
-    checkb "bound values" true
-      (peak_power.Xbound.Bound.value = 0.002
-      && peak_energy.Xbound.Bound.value = 1e-9)
-  | Ok _ -> Alcotest.fail "v1 analysis decoded to the wrong shape"
-  | Error m -> Alcotest.failf "v1 analysis rejected: %s" m);
-  (* v1 cache_stats response: no by_ns member. *)
-  match
-    Wire.Response.of_json
-      (Explain.Ejson.parse
-         {|{"op": "cache_stats", "dir": "/tmp/c", "entries": 3, "bytes": 99}|})
-  with
-  | Ok (Wire.Response.Cache_stats { by_ns = []; entries = 3; _ }) -> ()
-  | Ok _ -> Alcotest.fail "v1 cache_stats decoded to the wrong shape"
-  | Error m -> Alcotest.failf "v1 cache_stats rejected: %s" m
+  let response_refused what body =
+    match Wire.decode_response (Printf.sprintf {|{"id": 5, "result": %s}|} body) with
+    | Error (Xbound.Error.Protocol _) -> ()
+    | Error e -> Alcotest.failf "%s: %s" what (Xbound.Error.to_string e)
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  response_refused "bare-number peak_power_w"
+    {|{"op": "analysis", "name": "tea8", "tier": "exact", "paths": 1,
+       "forks": 0, "dedup_hits": 2, "total_cycles": 10,
+       "peak_power_w": 0.002, "peak_index": 3,
+       "peak_energy_j": {"value": 1e-9, "tier": "exact", "analysis_version": 1},
+       "peak_energy_cycles": 8, "npe_j_per_cycle": 1e-13,
+       "power_trace_w": [0.001, 0.002]}|};
+  response_refused "cache_stats without by_ns"
+    {|{"op": "cache_stats", "dir": "/tmp/c", "entries": 3, "bytes": 99}|}
 
 let test_envelopes () =
   let rf =
@@ -511,7 +507,9 @@ let test_serve_protocol_errors () =
     | Error e -> Alcotest.fail (Serve.Frame.read_error_to_string e));
     (* Valid JSON, wrong shape: same story, and the id is echoed. *)
     Serve.Frame.write fd
-      {|{"proto_version": 1, "id": 41, "request": {"op": "launch_missiles"}}|};
+      (Printf.sprintf
+         {|{"proto_version": %d, "id": 41, "request": {"op": "launch_missiles"}}|}
+         Wire.proto_version);
     (match Serve.Frame.read fd with
     | Ok reply -> (
       match Wire.decode_response reply with
@@ -519,7 +517,17 @@ let test_serve_protocol_errors () =
       | Ok _ -> Alcotest.fail "expected protocol error with id 41"
       | Error e -> Alcotest.fail (Xbound.Error.to_string e))
     | Error e -> Alcotest.fail (Serve.Frame.read_error_to_string e));
-    (* The connection survived both: a real request still works. *)
+    (* An older protocol version: refused the same way. *)
+    Serve.Frame.write fd
+      {|{"proto_version": 2, "id": 43, "request": {"op": "bench_list"}}|};
+    (match Serve.Frame.read fd with
+    | Ok reply -> (
+      match Wire.decode_response reply with
+      | Ok { Wire.rid = 43; result = Error (Xbound.Error.Protocol _) } -> ()
+      | Ok _ -> Alcotest.fail "expected protocol error with id 43"
+      | Error e -> Alcotest.fail (Xbound.Error.to_string e))
+    | Error e -> Alcotest.fail (Serve.Frame.read_error_to_string e));
+    (* The connection survived them all: a real request still works. *)
     Serve.Frame.write fd
       (Wire.encode_request
          { Wire.id = 42; priority = Wire.Interactive;
@@ -1032,68 +1040,6 @@ let test_serve_observability_byte_identical () =
         (String.length body > 0 && body.[0] = '{'))
     traces
 
-(* ---------------- cache sharding / migration ---------------- *)
-
-let temp_dir () =
-  let d = Filename.temp_file "xbound-test-shard" "" in
-  Sys.remove d;
-  d
-
-let test_cache_migrate () =
-  let dir = temp_dir () in
-  let cache = Cache.create ~dir () in
-  let keys =
-    List.init 8 (fun i -> Cache.Key.of_string (Printf.sprintf "entry-%d" i))
-  in
-  List.iter
-    (fun key -> ignore (Cache.memo cache ~ns:"t" ~key (fun () -> key)))
-    keys;
-  let entries, _ = Cache.disk_stats cache in
-  checki "stored sharded" 8 entries;
-  (* Flatten everything back into the legacy layout by hand. *)
-  Array.iter
-    (fun shard ->
-      let sdir = Filename.concat dir shard in
-      if Sys.file_exists sdir && Sys.is_directory sdir then begin
-        Array.iter
-          (fun f ->
-            Sys.rename (Filename.concat sdir f) (Filename.concat dir f))
-          (Sys.readdir sdir);
-        Sys.rmdir sdir
-      end)
-    (Sys.readdir dir);
-  let flat = Cache.create ~dir () in
-  let entries, _ = Cache.disk_stats flat in
-  checki "flat entries still counted" 8 entries;
-  (* A fresh cache finds (and adopts) a legacy flat entry on load. *)
-  let hit =
-    Cache.memo flat ~ns:"t" ~key:(List.hd keys) (fun () ->
-        Alcotest.fail "legacy entry not found")
-  in
-  checks "adopted value" (List.hd keys) hit;
-  (* Bulk migration moves the rest; nothing is lost. *)
-  let moved = Cache.migrate flat in
-  checki "migrated the remaining flat entries" 7 moved;
-  checkb "no flat entries left" true
-    (Array.for_all
-       (fun f -> Sys.is_directory (Filename.concat dir f))
-       (Sys.readdir dir));
-  let entries, _ = Cache.disk_stats flat in
-  checki "all entries after migrate" 8 entries;
-  let again = Cache.create ~dir () in
-  List.iter
-    (fun key ->
-      let v =
-        Cache.memo again ~ns:"t" ~key (fun () ->
-            Alcotest.fail "entry lost by migration")
-      in
-      checks "value after migration" key v)
-    keys;
-  checki "second migrate is a no-op" 0 (Cache.migrate again);
-  Cache.clear again;
-  (try Sys.rmdir dir with Sys_error _ -> ());
-  check Alcotest.bool "dir removed" false (Sys.file_exists dir)
-
 let () =
   Alcotest.run "serve"
     [
@@ -1139,6 +1085,4 @@ let () =
           Alcotest.test_case "byte identical under observability" `Quick
             test_serve_observability_byte_identical;
         ] );
-      ( "cache",
-        [ Alcotest.test_case "shard migrate" `Quick test_cache_migrate ] );
     ]
