@@ -388,8 +388,9 @@ let serve_cmd =
   in
   let workers_arg =
     let doc =
-      "Executor threads: how many requests run concurrently (each still \
-       parallelizes internally across the -j worker domains)."
+      "Executor domains: how many requests run concurrently, each on its \
+       own domain (each still parallelizes internally across the -j \
+       worker domains)."
     in
     Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc)
   in

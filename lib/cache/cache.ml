@@ -284,10 +284,12 @@ let disk_stats_by_ns t =
     Hashtbl.fold (fun ns stats acc -> (ns, stats) :: acc) tbl []
     |> List.sort compare
 
-let disk_stats t =
+let sum_rows rows =
   List.fold_left
     (fun (n, bytes) (_, (n', bytes')) -> (n + n', bytes + bytes'))
-    (0, 0) (disk_stats_by_ns t)
+    (0, 0) rows
+
+let disk_stats t = sum_rows (disk_stats_by_ns t)
 
 let clear t =
   (match t.dir_ with

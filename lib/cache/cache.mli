@@ -93,6 +93,11 @@ val disk_stats : t -> int * int
     memory-only. *)
 val disk_stats_by_ns : t -> (string * (int * int)) list
 
+(** [sum_rows rows] — the [(entries, bytes)] total of
+    {!disk_stats_by_ns} rows. A caller that wants both the rows and the
+    total walks the disk once and sums the rows it has. *)
+val sum_rows : (string * (int * int)) list -> int * int
+
 (** Drop every in-memory entry and delete every disk entry this cache
     format owns (files named [<ns>.<digest>.v<version>] in the shard
     subdirectories; emptied shard subdirectories are removed). *)

@@ -139,9 +139,9 @@ type sched = {
   cfg : config;
   pool : Parallel.Pool.t option;
   proto : Engine.t;
-  (* Per-worker scratch state, lazily built, each slot only ever touched
-     by its own domain (tasks never block, so a worker runs one task at
-     a time and helping cannot re-enter a slot mid-use). *)
+  (* Per-slot scratch state ([Pool.worker_index]), lazily built. A pool
+     slot belongs to one domain, and tasks never block, so a domain runs
+     one task at a time and helping cannot re-enter a slot mid-use. *)
   scratch : Engine.t option array;
   gangs : Engine.Gang.g option array;
   stop : bool Atomic.t;
@@ -171,23 +171,26 @@ let cycle_limit_exn cfg =
 let worker_slot sd =
   match sd.pool with Some p -> Parallel.Pool.worker_index p | None -> 0
 
-let scratch_of sd =
+(* The calling slot's entry of [arr], built by [make] on first use. A
+   domain that took its pool slot after this run sized the arrays gets
+   a fresh one per use. *)
+let per_slot sd arr make =
   let i = worker_slot sd in
-  match sd.scratch.(i) with
-  | Some e -> e
-  | None ->
-    let e = Engine.create_like sd.proto in
-    sd.scratch.(i) <- Some e;
-    e
+  if i >= Array.length arr then make ()
+  else
+    match arr.(i) with
+    | Some v -> v
+    | None ->
+      let v = make () in
+      arr.(i) <- Some v;
+      v
+
+let scratch_of sd =
+  per_slot sd sd.scratch (fun () -> Engine.create_like sd.proto)
 
 let gang_of sd =
-  let i = worker_slot sd in
-  match sd.gangs.(i) with
-  | Some g -> g
-  | None ->
-    let g = Engine.Gang.create sd.proto ~width:(gang_width_of sd.cfg) in
-    sd.gangs.(i) <- Some g;
-    g
+  per_slot sd sd.gangs (fun () ->
+      Engine.Gang.create sd.proto ~width:(gang_width_of sd.cfg))
 
 let note_path sd =
   Atomic.incr sd.est_paths;
@@ -584,7 +587,13 @@ let run ?pool e config =
      i.e. the previous-cycle baseline of the first recorded cycle. *)
   let initial = Engine.values_snapshot e in
   let registry : (string, Trace.node ref) Hashtbl.t = Hashtbl.create 256 in
-  let nslots = match pool with Some p -> Parallel.Pool.size p | None -> 1 in
+  let nslots =
+    match pool with
+    | Some p ->
+      Parallel.Pool.register p;
+      Parallel.Pool.slots p
+    | None -> 1
+  in
   let sd =
     {
       cfg = config;

@@ -1,8 +1,13 @@
-(* Domain pool with per-worker work-stealing deques and helping futures.
+(* Domain pool with per-slot work-stealing deques and helping futures.
 
    Design notes:
-   - Each worker (including the submitting domain, worker 0) owns a
-     deque. The owner pushes and pops at the tail (LIFO — depth-first,
+   - Each slot owns a deque. Slot 0 is the creating domain, slots
+     [1, size) are the worker domains, and every other domain that
+     submits or awaits gets a slot of its own on first use (the daemon's
+     executor domains register as they start). No two domains share a
+     slot, so slot-indexed scratch state (Gatesim.Sym's engines) is only
+     ever touched by one domain. Workers steal from every slot.
+   - The owner pushes and pops at the tail (LIFO — depth-first,
      cache-warm); thieves steal at the head (FIFO — the oldest task is
      the biggest unexplored subtree). A plain mutex per deque is fine:
      one lock acquisition costs nanoseconds against the microseconds to
@@ -91,7 +96,10 @@ module Pool = struct
   type t = {
     id : int;
     size : int;
-    deques : Deque.t array;
+    slots : Deque.t array Atomic.t;
+        (* one deque per slot; only ever replaced by a longer copy that
+           keeps every existing deque, under [reg] *)
+    reg : Mutex.t;
     mutable domains : unit Domain.t array;
     m : Mutex.t;
     cv : Condition.t;
@@ -108,16 +116,39 @@ module Pool = struct
   let slot_key : (int * int) list ref Domain.DLS.key =
     Domain.DLS.new_key (fun () -> ref [])
 
-  let register pool idx =
+  let bind pool idx =
     let r = Domain.DLS.get slot_key in
     r := (pool.id, idx) :: !r
 
-  let worker_index pool =
-    match List.assoc_opt pool.id !(Domain.DLS.get slot_key) with
+  let own_slot pool = List.assoc_opt pool.id !(Domain.DLS.get slot_key)
+
+  (* The calling domain's slot, appending a fresh deque the first time
+     this domain touches the pool. *)
+  let slot pool =
+    match own_slot pool with
     | Some i -> i
-    | None -> 0
+    | None ->
+      let i =
+        Mutex.protect pool.reg (fun () ->
+            let ds = Atomic.get pool.slots in
+            Atomic.set pool.slots (Array.append ds [| Deque.create () |]);
+            Array.length ds)
+      in
+      bind pool i;
+      i
+
+  let register pool = ignore (slot pool)
+
+  let worker_index pool =
+    match own_slot pool with
+    | Some i -> i
+    | None ->
+      invalid_arg
+        "Parallel.Pool.worker_index: the calling domain has no slot in this \
+         pool"
 
   let size t = t.size
+  let slots t = Array.length (Atomic.get t.slots)
   let queued t = Atomic.get t.pending
   let busy t = Atomic.get t.running
 
@@ -128,17 +159,18 @@ module Pool = struct
     Fun.protect ~finally:(fun () -> Atomic.decr pool.running) (fun () ->
         run_task t)
 
-  (* Own deque first (LIFO), then sweep the others (FIFO steal). *)
+  (* Own deque first (LIFO), then sweep every other slot (FIFO steal). *)
   let find_task pool me =
+    let ds = Atomic.get pool.slots in
     let t =
-      match Deque.pop pool.deques.(me) with
+      match Deque.pop ds.(me) with
       | Some _ as t -> t
       | None ->
-        let n = pool.size in
+        let n = Array.length ds in
         let rec scan k =
           if k = n then None
           else
-            match Deque.steal pool.deques.((me + k) mod n) with
+            match Deque.steal ds.((me + k) mod n) with
             | Some _ as t ->
               Telemetry.Counter.incr c_steal;
               t
@@ -150,7 +182,7 @@ module Pool = struct
     t
 
   let worker pool idx () =
-    register pool idx;
+    bind pool idx;
     let rec loop () =
       match find_task pool idx with
       | Some t ->
@@ -184,7 +216,8 @@ module Pool = struct
       {
         id = Atomic.fetch_and_add ids 1;
         size;
-        deques = Array.init size (fun _ -> Deque.create ());
+        slots = Atomic.make (Array.init size (fun _ -> Deque.create ()));
+        reg = Mutex.create ();
         domains = [||];
         m = Mutex.create ();
         cv = Condition.create ();
@@ -193,7 +226,7 @@ module Pool = struct
         stop = Atomic.make false;
       }
     in
-    register pool 0;
+    bind pool 0;
     if size > 1 then
       pool.domains <-
         Array.init (size - 1) (fun i -> Domain.spawn (worker pool (i + 1)));
@@ -222,7 +255,8 @@ module Pool = struct
        worker's own scope never bleeds into someone else's task. *)
     let binding = Telemetry.Scope.active () in
     let task () = Telemetry.Scope.with_binding binding task in
-    Deque.push pool.deques.(worker_index pool) task;
+    let me = slot pool in
+    Deque.push (Atomic.get pool.slots).(me) task;
     Atomic.incr pool.pending;
     Mutex.lock pool.m;
     Condition.signal pool.cv;
@@ -253,7 +287,7 @@ module Pool = struct
     | Done v -> v
     | Err (e, bt) -> Printexc.raise_with_backtrace e bt
     | Pending -> (
-      match find_task pool (worker_index pool) with
+      match find_task pool (slot pool) with
       | Some t ->
         run_counted pool run_task t;
         await_loop pool fut
@@ -311,30 +345,45 @@ end
 
 (* ---- process-wide default pool ---- *)
 
-let requested_jobs : int option ref = ref None
-let the_pool : Pool.t option ref = ref None
+(* Executor domains ask for the pool on their first requests at once:
+   creation and replacement happen under [default_m], so exactly one
+   pool is ever live and none leaks its worker domains. Reads stay
+   lock-free. *)
+let default_m = Mutex.create ()
+let requested_jobs : int option Atomic.t = Atomic.make None
+let the_pool : Pool.t option Atomic.t = Atomic.make None
 
 let default_jobs () =
-  match !requested_jobs with
+  match Atomic.get requested_jobs with
   | Some j -> j
   | None -> Domain.recommended_domain_count ()
 
 let set_default_jobs j =
   let j = max 1 j in
-  (match !the_pool with
-  | Some p when Pool.size p <> j ->
-    Pool.shutdown p;
-    the_pool := None
-  | _ -> ());
-  requested_jobs := Some j
+  let stale =
+    Mutex.protect default_m (fun () ->
+        Atomic.set requested_jobs (Some j);
+        match Atomic.get the_pool with
+        | Some p when Pool.size p <> j ->
+          Atomic.set the_pool None;
+          Some p
+        | _ -> None)
+  in
+  (* Joined outside the lock: a task still draining on the old pool may
+     itself ask for the default pool. *)
+  Option.iter Pool.shutdown stale
 
 let default_pool () =
-  match !the_pool with
+  match Atomic.get the_pool with
   | Some p -> p
   | None ->
-    let p = Pool.create ~jobs:(default_jobs ()) in
-    the_pool := Some p;
-    p
+    Mutex.protect default_m (fun () ->
+        match Atomic.get the_pool with
+        | Some p -> p
+        | None ->
+          let p = Pool.create ~jobs:(default_jobs ()) in
+          Atomic.set the_pool (Some p);
+          p)
 
 let auto () =
   if default_jobs () <= 1 then None

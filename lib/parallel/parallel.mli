@@ -5,11 +5,19 @@
     experiments, GA fitness evaluations — whose results must be merged
     in a fixed order so every table, trace and bound is bit-identical to
     the sequential run. This module provides exactly that: a pool of
-    [jobs - 1] worker domains (the submitting domain is worker 0) with
-    per-worker work-stealing deques, futures whose [await] {e helps} by
-    executing queued tasks instead of blocking, and ordered-merge
-    combinators ([both], [map_array], [map_list], [init_chunked]) that
-    collect results in submission order.
+    [jobs - 1] worker domains with per-slot work-stealing deques,
+    futures whose [await] {e helps} by executing queued tasks instead of
+    blocking, and ordered-merge combinators ([both], [map_array],
+    [map_list], [init_chunked]) that collect results in submission
+    order.
+
+    {b Slots.} Every domain that uses a pool owns one slot (a deque)
+    of its own: slot 0 is the creating domain, slots [1 .. size-1] the
+    worker domains, and any other submitting domain (such as one of
+    [xbound serve]'s executor domains) is appended on its first
+    {!Pool.register}, [async] or [await]. Workers steal from every slot.
+    No two domains ever share a slot, so per-slot scratch state needs no
+    lock.
 
     With [jobs = 1] no domains are spawned and [async] runs its closure
     inline and eagerly, so the side-effect order of unparallelized code
@@ -23,9 +31,20 @@ module Pool : sig
       shut down automatically at process exit. *)
   val create : jobs:int -> t
 
-  (** Total workers including the submitting domain; [size t = 1] means
+  (** Total workers including the creating domain; [size t = 1] means
       fully sequential. *)
   val size : t -> int
+
+  (** Number of slots right now: [size t] plus one per other domain that
+      has registered. It only grows. *)
+  val slots : t -> int
+
+  (** [register t] gives the calling domain a slot of its own in [t] if
+      it has none yet. Idempotent. [async] and [await] register
+      implicitly; a domain that will submit later registers up front so
+      its slot exists before other domains size per-slot state by
+      {!slots}. *)
+  val register : t -> unit
 
   (** Number of queued (submitted, not yet dequeued) tasks right now.
       Racy by nature — a cheap load of the pending counter, meant for
@@ -41,8 +60,10 @@ module Pool : sig
       them. Idempotent. *)
   val shutdown : t -> unit
 
-  (** Index of the calling domain within the pool: 0 for the creator,
-      [1 .. size-1] for workers, 0 for any foreign domain. *)
+  (** The calling domain's slot: 0 for the creator, [1 .. size-1] for
+      workers, [size ..] for registered submitters. Raises
+      [Invalid_argument] on a domain that has no slot in the pool, rather
+      than answering with another domain's slot. *)
   val worker_index : t -> int
 
   type 'a future
@@ -85,10 +106,11 @@ val default_jobs : unit -> int
 
 (** [set_default_jobs j] fixes the default pool size to [max 1 j]. If a
     default pool of a different size already exists it is shut down and
-    recreated lazily. *)
+    recreated lazily. Safe to call from any domain. *)
 val set_default_jobs : int -> unit
 
-(** The lazily-created process-wide pool of {!default_jobs} workers. *)
+(** The lazily-created process-wide pool of {!default_jobs} workers.
+    Domains that race to create it get the same pool. *)
 val default_pool : unit -> Pool.t
 
 (** [auto ()] is [Some (default_pool ())] when parallelism is enabled

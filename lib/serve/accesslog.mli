@@ -1,7 +1,7 @@
 (** Append-only JSONL sink for the daemon's per-request access log.
 
     One JSON object per line, written and flushed atomically under a
-    mutex (reader threads and executor threads share the file). The
+    mutex (reader threads and executor domains share the file). The
     server writes one entry per completed or rejected request; see
     {!Server} for the entry schema. *)
 

@@ -45,35 +45,39 @@ let report_failure counter ~what e =
 
 let c_background_errors = Telemetry.Counter.make "serve.background_errors"
 
-let detach ~what f =
-  Thread.create
-    (fun () -> try f () with e -> report_failure c_background_errors ~what e)
-    ()
+type background = key:string -> (unit -> unit) -> unit
+
+let guarded ~what f () =
+  try f () with e -> report_failure c_background_errors ~what e
 
 (* Auto tier under a long-lived server: when the immediate answer came
    from the static tier (the facade found exact escalation infeasible or
-   failing), still attempt the exact tier on a detached thread so the
-   shared cache warms up for later requests. The attempt self-limits via
-   the benchmark's [max_paths]; its typed result is discarded, and an
-   exception is reported by [detach]. *)
-let warm_exact_in_background ~ctx ~requested program (a : Xbound.analysis) =
-  if
-    requested = Xbound.Tier.Auto
-    && a.Xbound.tier = Xbound.Tier.Static
-    && Option.is_some ctx.Xbound.Ctx.cache
-  then
-    ignore
-      (detach ~what:"background exact warm-up" (fun () ->
+   failing), still attempt the exact tier as background work so the
+   shared cache warms up for later requests. [background] decides where
+   it runs (the daemon's scheduler, keyed by the program so one warm-up
+   is pending per program); without it nothing is queued. The attempt
+   self-limits via the benchmark's [max_paths]; its typed result is
+   discarded, and an exception is counted and reported. *)
+let warm_exact_in_background ?background ~ctx ~requested program
+    (a : Xbound.analysis) =
+  match background with
+  | Some queue
+    when requested = Xbound.Tier.Auto
+         && a.Xbound.tier = Xbound.Tier.Static
+         && Option.is_some ctx.Xbound.Ctx.cache ->
+    queue ~key:(Cache.Key.of_value program)
+      (guarded ~what:"background exact warm-up" (fun () ->
            ignore
              (Xbound.analyze
                 ~ctx:{ ctx with Xbound.Ctx.tier = Xbound.Tier.Exact }
                 program)))
+  | _ -> ()
 
-let analyze ~ctx bench tier =
+let analyze ?background ~ctx bench tier =
   let ctx = { ctx with Xbound.Ctx.tier } in
   let* program = Xbound.bench bench in
   let* a = Xbound.analyze ~ctx program in
-  warm_exact_in_background ~ctx ~requested:tier program a;
+  warm_exact_in_background ?background ~ctx ~requested:tier program a;
   Ok
     (Wire.Response.Analysis
        {
@@ -187,8 +191,8 @@ let cache_stats ~ctx () =
   match ctx.Xbound.Ctx.cache with
   | None -> Error (Xbound.Error.Cache "cache disabled (--no-cache)")
   | Some cache ->
-    let entries, bytes = Cache.disk_stats cache in
     let by_ns = Cache.disk_stats_by_ns cache in
+    let entries, bytes = Cache.sum_rows by_ns in
     Ok
       (Wire.Response.Cache_stats { dir = Cache.dir cache; entries; bytes; by_ns })
 
@@ -211,8 +215,8 @@ let health () =
          workers = g "serve.workers";
        })
 
-let exec ~ctx = function
-  | Wire.Request.Analyze { bench; tier } -> analyze ~ctx bench tier
+let exec ?background ~ctx = function
+  | Wire.Request.Analyze { bench; tier } -> analyze ?background ~ctx bench tier
   | Wire.Request.Explain { bench; fmt; top; min_gap; tier } ->
     explain ~ctx bench fmt top min_gap tier
   | Wire.Request.Run_concrete { bench; seed } -> run_concrete ~ctx bench seed

@@ -6,6 +6,7 @@ type t = {
   cap : int;
   interactive : job Queue.t;
   batch : job Queue.t;
+  background : (string, unit) Hashtbl.t;  (* keys queued or running *)
   m : Mutex.t;
   cv : Condition.t;
   mutable stopped : bool;
@@ -22,6 +23,7 @@ let create ~capacity =
     cap = max 1 capacity;
     interactive = Queue.create ();
     batch = Queue.create ();
+    background = Hashtbl.create 8;
     m = Mutex.create ();
     cv = Condition.create ();
     stopped = false;
@@ -37,23 +39,41 @@ let depth t =
 
 let capacity t = t.cap
 
+(* Under [t.m]. *)
+let admit t job =
+  Queue.push job
+    (match job.priority with
+    | Wire.Interactive -> t.interactive
+    | Wire.Batch -> t.batch);
+  Telemetry.Gauge.set g_queue_len (depth_unlocked t);
+  Condition.signal t.cv
+
 let submit t job =
   Mutex.lock t.m;
   let d = depth_unlocked t in
   let r =
     if t.stopped || d >= t.cap then Error d
     else begin
-      Queue.push job
-        (match job.priority with
-        | Wire.Interactive -> t.interactive
-        | Wire.Batch -> t.batch);
-      Telemetry.Gauge.set g_queue_len (depth_unlocked t);
-      Condition.signal t.cv;
+      admit t job;
       Ok ()
     end
   in
   Mutex.unlock t.m;
   r
+
+let submit_background t ~key run =
+  Mutex.protect t.m @@ fun () ->
+  if t.stopped || depth_unlocked t >= t.cap || Hashtbl.mem t.background key
+  then false
+  else begin
+    Hashtbl.replace t.background key ();
+    let run () =
+      Fun.protect run ~finally:(fun () ->
+          Mutex.protect t.m (fun () -> Hashtbl.remove t.background key))
+    in
+    admit t { priority = Wire.Batch; run };
+    true
+  end
 
 let next t =
   Mutex.lock t.m;
@@ -75,6 +95,7 @@ let stop t =
   t.stopped <- true;
   Queue.clear t.interactive;
   Queue.clear t.batch;
+  Hashtbl.reset t.background;
   Telemetry.Gauge.set g_queue_len 0;
   Condition.broadcast t.cv;
   Mutex.unlock t.m

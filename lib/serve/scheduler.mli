@@ -21,6 +21,12 @@ val capacity : t -> int
     after {!stop}. *)
 val submit : t -> job -> (unit, int) Stdlib.result
 
+(** [submit_background t ~key run] queues [run] as batch work that no
+    client waits for, unless a job with the same [key] is still queued
+    or running, the queue is full, or [t] is stopped; [true] when it
+    was queued. The key is released when [run] returns or raises. *)
+val submit_background : t -> key:string -> (unit -> unit) -> bool
+
 (** Blocks until a job is available (interactive before batch) or the
     scheduler is stopped; [None] means stop — the executor should
     exit. *)

@@ -1,13 +1,20 @@
 (** The [xbound serve] daemon loop.
 
     One accept thread hands each connection to a dedicated reader
-    thread; decoded requests are admitted into the bounded two-class
-    {!Scheduler} and executed by a fixed pool of executor threads, all
-    sharing the server's one {!Xbound.Ctx.t} — so the in-memory LRU,
-    the single-flight table and the disk cache are shared across every
-    connection (two clients asking the same question cost one
-    analysis), and analyses still parallelize internally on the shared
-    domain pool.
+    thread; both stay on the main domain. Decoded requests are admitted
+    into the bounded two-class {!Scheduler} and executed by a fixed set
+    of executor domains, one request per domain at a time, so a cheap
+    request never waits for another executor's analysis to yield the
+    domain. Every executor shares the server's one {!Xbound.Ctx.t} — so
+    the in-memory LRU, the single-flight table and the disk cache are
+    shared across every connection (two clients asking the same question
+    cost one analysis) — and analyses still parallelize internally on
+    the shared worker pool, where each executor domain registers a
+    submitter slot of its own ({!Parallel.Pool.register}) as it starts.
+
+    The Auto tier's background exact warm-up ({!Exec.exec}) is queued
+    as batch work on the same scheduler: dropped when the queue is full,
+    and at most one per program queued or running.
 
     Protocol behaviour on a connection:
     - a malformed payload that leaves framing intact (bad JSON, bad
@@ -38,7 +45,7 @@
     [serve.traces_sampled], [serve.tier.<tier>], and the two failure
     counts [serve.executor_errors] (an exception escaped a job; see
     {!executor_loop}) and [serve.background_errors] (see
-    {!Exec.detach}). Histograms:
+    {!Exec.guarded}). Histograms:
     [serve.queue_depth] (depth seen at admission), [serve.queue_wait_ns]
     (admission to execution start), [serve.exec_ns] (execution only),
     [serve.latency_ns] (admission to response written). Gauges:
@@ -53,7 +60,7 @@
 
 type config = {
   listen : Addr.t;
-  workers : int;  (** executor threads (clamped to >= 1) *)
+  workers : int;  (** executor domains (clamped to >= 1) *)
   queue_capacity : int;  (** admission bound (clamped to >= 1) *)
   ctx : Xbound.Ctx.t;  (** shared by every request *)
   access_log : string option;
@@ -83,12 +90,12 @@ val config :
 
 type t
 
-(** Bind, listen and spawn the accept/executor threads. [Error] is a
-    human-readable reason (address in use, permission, unwritable
-    access-log path...). *)
+(** Bind, listen, spawn the accept thread and the executor domains.
+    [Error] is a human-readable reason (address in use, permission,
+    unwritable access-log path...). *)
 val start : config -> (t, string) Stdlib.result
 
-(** [executor_loop sched] — one executor thread's body: run jobs from
+(** [executor_loop sched] — one executor domain's body: run jobs from
     [sched] until it stops. A job that raises is counted in
     [serve.executor_errors] and reported on stderr, and the loop goes on
     with the next job. *)
@@ -98,6 +105,7 @@ val executor_loop : Scheduler.t -> unit
 val addr : t -> Addr.t
 
 (** Graceful shutdown: stop accepting, reject queued work, wake every
-    blocked reader (ending any Watch streams), join all threads, close
-    the access log, unlink the unix socket file. Idempotent. *)
+    blocked reader (ending any Watch streams), join every thread and
+    executor domain, close the access log, unlink the unix socket file.
+    Idempotent. *)
 val stop : t -> unit

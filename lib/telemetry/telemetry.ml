@@ -120,9 +120,10 @@ module Scope = struct
   let live = Atomic.make 0
 
   (* Thread.id -> scope. Keyed on systhread ids, not Domain.DLS: the
-     daemon's executor threads share one domain, and pool workers are
-     each the main thread of their own domain — thread ids distinguish
-     both. *)
+     daemon's executor domains and the pool workers are each the main
+     thread of their own domain, while a domain may also run several
+     threads (the daemon's reader threads share the main domain). Thread
+     ids are unique across domains, so they distinguish all of them. *)
   let bindings : (int, s) Hashtbl.t = Hashtbl.create 16
   let bm = Mutex.create ()
 

@@ -98,8 +98,9 @@ val events : t -> event list
 (** {1 Scopes}
 
     A scope attributes telemetry to one logical operation — in the
-    daemon, one request. Binding is per {e thread} (systhread id, not
-    domain: the daemon's executor threads share a domain), and the
+    daemon, one request. Binding is per {e thread} (systhread id, which
+    is unique across domains: each daemon executor domain runs one
+    thread, while the main domain runs the reader threads), and the
     domain pool propagates the submitting thread's binding into its
     workers, so work fanned out on behalf of a request still tallies
     into that request's scope. With no scope bound anywhere in the

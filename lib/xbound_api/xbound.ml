@@ -228,7 +228,7 @@ let bench bname =
 
 (* The processor is elaborated once per process and shared; elaboration
    failures surface as Error.Netlist on every call. The first force runs
-   under a mutex: daemon executor threads that race for it would
+   under a mutex: daemon executor domains that race for it would
    otherwise see the lazy mid-evaluation and raise
    [CamlinternalLazy.Undefined]. *)
 let env_lazy =

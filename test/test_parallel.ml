@@ -72,6 +72,51 @@ let test_sequential_pool_inline () =
   (* eager inline execution: "a" happened before "b" *)
   Alcotest.(check (list string)) "eager order" [ "b"; "a" ] !order
 
+(* Two domains that did not create the pool submit and await at the
+   same time. Each gets a slot of its own (never the creator's slot 0,
+   never each other's), every task runs on a domain with a slot, and
+   each gets its own results. A domain that never touched the pool has
+   no slot, and [worker_index] says so instead of aliasing slot 0. *)
+let test_foreign_submitters () =
+  let p = Parallel.Pool.create ~jobs:2 in
+  Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown p) @@ fun () ->
+  let ready = Atomic.make 0 in
+  let submitter k () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let ys =
+      Parallel.Pool.map_array p
+        (fun i ->
+          ignore (Parallel.Pool.worker_index p);
+          (k * 1000) + i)
+        (Array.init 500 Fun.id)
+    in
+    (Parallel.Pool.worker_index p, ys)
+  in
+  let results = List.map Domain.join (List.map (fun k -> Domain.spawn (submitter k)) [ 1; 2 ]) in
+  List.iteri
+    (fun i (_, ys) ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "submitter %d results" (i + 1))
+        (Array.init 500 (fun j -> ((i + 1) * 1000) + j))
+        ys)
+    results;
+  (match List.map fst results with
+  | [ a; b ] ->
+    Alcotest.(check bool) "distinct slots" true (a <> b);
+    Alcotest.(check bool) "past the creator and worker slots" true
+      (a >= Parallel.Pool.size p && b >= Parallel.Pool.size p)
+  | _ -> assert false);
+  Alcotest.(check int) "one slot per domain" 4 (Parallel.Pool.slots p);
+  Alcotest.(check bool) "unregistered domain fails closed" true
+    (Domain.join
+       (Domain.spawn (fun () ->
+            match Parallel.Pool.worker_index p with
+            | _ -> false
+            | exception Invalid_argument _ -> true)))
+
 (* ---------------- engine snapshot / replica round-trips ---------------- *)
 
 let cycle_equal (a : Trace.cycle) (b : Trace.cycle) =
@@ -283,6 +328,8 @@ let () =
           Alcotest.test_case "nested fork/join" `Quick test_nested_fork_join;
           Alcotest.test_case "jobs=1 runs inline eagerly" `Quick
             test_sequential_pool_inline;
+          Alcotest.test_case "foreign submitters get their own slots" `Quick
+            test_foreign_submitters;
         ] );
       ( "engine-replica",
         [

@@ -411,33 +411,103 @@ let test_scheduler_admission () =
 
 let counter name = Telemetry.Counter.value (Telemetry.Counter.make name)
 
-(* An exception in a detached background thread or in an executor's job
-   is counted (and reported on stderr), and the executor survives it to
-   run the next job. *)
+(* An exception in a background job or in an executor's job is counted
+   (each in its own counter, and reported on stderr), and the executor
+   survives it to run the next job. *)
 let test_failure_counts () =
   Telemetry.with_ambient (Telemetry.create ~retain_events:false ())
   @@ fun () ->
   let bg0 = counter "serve.background_errors" in
-  Thread.join
-    (Serve.Exec.detach ~what:"injected background job" (fun () ->
-         failwith "injected"));
-  checki "background failure counted" (bg0 + 1)
-    (counter "serve.background_errors");
   let ex0 = counter "serve.executor_errors" in
   let s = Serve.Scheduler.create ~capacity:4 in
   let ran_after = ref false in
-  let submit run =
-    match Serve.Scheduler.submit s { Serve.Scheduler.priority = Wire.Interactive; run } with
+  let submit priority run =
+    match Serve.Scheduler.submit s { Serve.Scheduler.priority; run } with
     | Ok () -> ()
     | Error _ -> Alcotest.fail "submit rejected"
   in
-  submit (fun () -> failwith "injected");
-  submit (fun () ->
+  checkb "background job queued" true
+    (Serve.Scheduler.submit_background s ~key:"injected"
+       (Serve.Exec.guarded ~what:"injected background job" (fun () ->
+            failwith "injected")));
+  submit Wire.Interactive (fun () -> failwith "injected");
+  submit Wire.Batch (fun () ->
       ran_after := true;
       Serve.Scheduler.stop s);
   Serve.Server.executor_loop s;
+  checki "background failure counted" (bg0 + 1)
+    (counter "serve.background_errors");
   checki "executor failure counted" (ex0 + 1) (counter "serve.executor_errors");
   checkb "executor ran the next job" true !ran_after
+
+(* Two identical Auto requests that answer from the static tier queue
+   one background exact warm-up between them, as batch work; its key is
+   released when it has run, and a full queue drops it. crc16's static
+   cycle bound is above the Auto escalation threshold. *)
+let test_warmup_dedup () =
+  let s = Serve.Scheduler.create ~capacity:8 in
+  let queued = ref 0 in
+  let background ~key run =
+    if Serve.Scheduler.submit_background s ~key run then incr queued
+  in
+  let ctx = Xbound.Ctx.create ~cache:(Cache.create ()) () in
+  let auto () =
+    match
+      Serve.Exec.exec ~background ~ctx
+        (Wire.Request.Analyze { bench = "crc16"; tier = Xbound.Tier.Auto })
+    with
+    | Ok (Wire.Response.Analysis { tier; _ }) ->
+      checkb "answered from the static tier" true (tier = Xbound.Tier.Static)
+    | Ok _ -> Alcotest.fail "expected an analysis"
+    | Error e -> Alcotest.fail (Xbound.Error.to_string e)
+  in
+  auto ();
+  auto ();
+  checki "one warm-up queued" 1 !queued;
+  checki "queue depth" 1 (Serve.Scheduler.depth s);
+  (match Serve.Scheduler.next s with
+  | Some j ->
+    checkb "batch class" true (j.Serve.Scheduler.priority = Wire.Batch);
+    j.Serve.Scheduler.run ()
+  | None -> Alcotest.fail "no warm-up job");
+  auto ();
+  checki "queued again once the first has run" 2 !queued;
+  let full = Serve.Scheduler.create ~capacity:1 in
+  checkb "first background job queued" true
+    (Serve.Scheduler.submit_background full ~key:"a" ignore);
+  checkb "dropped when the queue is full" false
+    (Serve.Scheduler.submit_background full ~key:"b" ignore);
+  Serve.Scheduler.stop full;
+  Serve.Scheduler.stop s
+
+(* cache_stats walks the disk once: its totals are the sums of the
+   per-namespace rows it returns. *)
+let test_cache_stats_sums () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "xbound-test-stats-%d-%d" (Unix.getpid ())
+         (Random.int 100000))
+  in
+  let cache = Cache.create ~dir () in
+  Fun.protect ~finally:(fun () -> Cache.clear cache) @@ fun () ->
+  let ctx = Xbound.Ctx.create ~cache () in
+  List.iter
+    (fun tier ->
+      match
+        Serve.Exec.exec ~ctx (Wire.Request.Analyze { bench = "mult"; tier })
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Xbound.Error.to_string e))
+    [ Xbound.Tier.Exact; Xbound.Tier.Static ];
+  match Serve.Exec.exec ~ctx Wire.Request.Cache_stats with
+  | Ok (Wire.Response.Cache_stats { entries; bytes; by_ns; _ }) ->
+    let sum f = List.fold_left (fun acc (_, row) -> acc + f row) 0 by_ns in
+    checkb "several namespaces" true (List.length by_ns >= 2);
+    checkb "entries on disk" true (entries > 0);
+    checki "entries = sum of rows" (sum fst) entries;
+    checki "bytes = sum of rows" (sum snd) bytes
+  | Ok _ -> Alcotest.fail "expected cache stats"
+  | Error e -> Alcotest.fail (Xbound.Error.to_string e)
 
 (* ---------------- end-to-end daemon ---------------- *)
 
@@ -1061,6 +1131,9 @@ let () =
         [
           Alcotest.test_case "admission" `Quick test_scheduler_admission;
           Alcotest.test_case "failure counts" `Quick test_failure_counts;
+          Alcotest.test_case "auto warm-up queued once" `Quick test_warmup_dedup;
+          Alcotest.test_case "cache stats sums its rows" `Quick
+            test_cache_stats_sums;
         ] );
       ( "daemon",
         [
