@@ -91,18 +91,6 @@ let run_request ~ctx connect req =
      print_string (Serve.Render.to_string resp);
      Ok ())
 
-let find_bench name =
-  match
-    List.find_opt
-      (fun b -> String.equal b.Benchprogs.Bench.name name)
-      (Benchprogs.Bench.all @ Benchprogs.Extended.all)
-  with
-  | Some b -> Ok b
-  | None ->
-    Error
-      (Xbound.Error.Unknown_benchmark
-         { name; available = List.map fst (Xbound.benchmarks ()) })
-
 (* ---------------- light subcommands ---------------- *)
 
 let list_cmd =
@@ -265,7 +253,7 @@ let trace_cmd =
 let profile_cmd =
   let run c name =
     handle
-      (let* b = find_bench name in
+      (let* b = Xbound.find_bench name in
        let ctx = report_ctx c in
        let p = Report.Context.profile ctx b in
        Printf.printf "%s input-based profiling over %d input sets:\n" name
@@ -287,7 +275,7 @@ let profile_cmd =
 let wcec_cmd =
   let run c name seed =
     handle
-      (let* b = find_bench name in
+      (let* b = Xbound.find_bench name in
        let ctx = report_ctx c in
        let img = Benchprogs.Bench.assemble b in
        let w =
@@ -593,7 +581,7 @@ let top_cmd =
 let disasm_cmd =
   let run name =
     handle
-      (let* b = find_bench name in
+      (let* b = Xbound.find_bench name in
        print_string (Isa.Listing.to_string (Benchprogs.Bench.assemble b));
        Ok ())
   in

@@ -20,23 +20,6 @@ let tier_of_request = function
     Some tier
   | _ -> None
 
-let all_benches = Benchprogs.Bench.all @ Benchprogs.Extended.all
-
-let find_bench name =
-  match
-    List.find_opt
-      (fun b -> String.equal b.Benchprogs.Bench.name name)
-      all_benches
-  with
-  | Some b -> Ok b
-  | None ->
-    Error
-      (Xbound.Error.Unknown_benchmark
-         {
-           name;
-           available = List.map (fun b -> b.Benchprogs.Bench.name) all_benches;
-         })
-
 (* A failure no caller is waiting for is counted and reported on
    stderr, never dropped. *)
 let report_failure counter ~what e =
@@ -146,7 +129,7 @@ let explain ~ctx bench fmt top min_gap tier =
   Ok (Wire.Response.Explanation { name = bench; fmt; text })
 
 let run_concrete ~ctx bench seed =
-  let* b = find_bench bench in
+  let* b = Xbound.find_bench bench in
   let* program = Xbound.bench bench in
   let* t =
     Xbound.run_concrete ~ctx program

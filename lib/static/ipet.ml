@@ -401,39 +401,38 @@ let to_table t =
     t.s_rows;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\": \"%s\", \"tier\": \"static\", \"peak_power_w\": %.9g, \
-        \"peak_energy_j\": %.9g, \"cycle_bound\": %d, \"blocks\": %d, \
-        \"loops\": %d, \"cached_blocks\": %d, \"rows\": ["
-       (json_escape t.s_name) t.s_peak_power_w t.s_peak_energy_j t.s_cycle_bound
-       t.s_blocks t.s_loops t.s_cached_blocks);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"start\": %d, \"limit\": %d, \"insns\": %d, \"iters\": %d, \
-            \"cycles\": %d, \"peak_w\": %.9g, \"energy_j\": %.9g, \"cached\": \
-            %b, \"terminator\": \"%s\"}"
-           r.r_start r.r_limit r.r_insns r.r_iters r.r_cycles r.r_peak_w
-           r.r_energy_j r.r_cached (json_escape r.r_label)))
-    t.s_rows;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let open Explain.Ejson in
+  let int n = Num (float_of_int n) in
+  to_string
+    (Obj
+       [
+         ("name", Str t.s_name);
+         ("tier", Str "static");
+         ("peak_power_w", Num t.s_peak_power_w);
+         ("peak_energy_j", Num t.s_peak_energy_j);
+         ("cycle_bound", int t.s_cycle_bound);
+         ("blocks", int t.s_blocks);
+         ("loops", int t.s_loops);
+         ("cached_blocks", int t.s_cached_blocks);
+         ( "rows",
+           Arr
+             (List.map
+                (fun r ->
+                  Obj
+                    [
+                      ("start", int r.r_start);
+                      ("limit", int r.r_limit);
+                      ("insns", int r.r_insns);
+                      ("iters", int r.r_iters);
+                      ("cycles", int r.r_cycles);
+                      ("peak_w", Num r.r_peak_w);
+                      ("energy_j", Num r.r_energy_j);
+                      ("cached", Bool r.r_cached);
+                      ("terminator", Str r.r_label);
+                    ])
+                t.s_rows) );
+       ])
 
 let to_csv t =
   let buf = Buffer.create 1024 in

@@ -59,5 +59,9 @@ val analyze :
   (t, Cfg.error) result
 
 val to_table : t -> string
+
+(** One-line JSON object. Bounds print in the shortest form that parses
+    back to the same float, so a consumer reads the exact bound. *)
 val to_json : t -> string
+
 val to_csv : t -> string

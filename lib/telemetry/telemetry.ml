@@ -8,7 +8,8 @@
    event is a cons onto a domain-private list; counters and histogram
    buckets are single atomic RMWs. Scope attribution adds one atomic
    load per counter increment when no scope is bound anywhere, and a
-   short critical section on the scope's own mutex when one is. Every
+   short critical section on the mutex of the bound scope and of each
+   scope enclosing it when one is. Every
    instrumentation site is behind one atomic load of the ambient sink,
    so disabled telemetry costs exactly that load. *)
 
@@ -87,7 +88,32 @@ let buffer_for t =
 (* Spans currently open across every domain and thread. *)
 let active_spans = Atomic.make 0
 
-(* ---------------- shared JSON helpers ---------------- *)
+(* ---------------- registries ---------------- *)
+
+(* Name -> handle, interned under one mutex: counters, gauges and
+   histograms each keep one. *)
+module Registry = struct
+  type 'a t = { tbl : (string, 'a) Hashtbl.t; m : Mutex.t }
+
+  let create () = { tbl = Hashtbl.create 32; m = Mutex.create () }
+
+  let intern r fresh name =
+    Mutex.protect r.m (fun () ->
+        match Hashtbl.find_opt r.tbl name with
+        | Some h -> h
+        | None ->
+          let h = fresh name in
+          Hashtbl.add r.tbl name h;
+          h)
+
+  (* Every registered handle, sorted by name. *)
+  let all r =
+    Mutex.protect r.m (fun () ->
+        Hashtbl.fold (fun name h acc -> (name, h) :: acc) r.tbl [])
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+end
+
+(* ---------------- event lists: sort, fold, export ---------------- *)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 4) in
@@ -104,12 +130,106 @@ let json_escape s =
   Buffer.contents b
 
 let us ns = Int64.to_float ns /. 1e3
+let secs ns = Int64.to_float ns /. 1e9
+
+let sort_events evs =
+  List.sort
+    (fun a b ->
+      match Int64.compare a.ts_ns b.ts_ns with
+      | 0 -> compare (a.tid, a.depth) (b.tid, b.depth)
+      | c -> c)
+    evs
+
+(* Seconds and span count per [key], skipping events keyed [None];
+   unordered. *)
+let fold_spans key evs =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      match key e with
+      | None -> ()
+      | Some k ->
+        let s, n = Option.value (Hashtbl.find_opt tbl k) ~default:(0., 0) in
+        Hashtbl.replace tbl k (s +. secs e.dur_ns, n + 1))
+    evs;
+  Hashtbl.fold (fun k sn acc -> (k, sn) :: acc) tbl []
+
+let span_totals_of ?cat evs =
+  fold_spans
+    (fun e ->
+      match cat with
+      | Some c when not (String.equal c e.cat) -> None
+      | _ -> Some e.name)
+    evs
+  |> List.sort (fun (an, (a, _)) (bn, (b, _)) ->
+         match Float.compare b a with 0 -> String.compare an bn | c -> c)
+
+let phase_totals_of evs =
+  List.map (fun (name, (s, _)) -> (name, s)) (span_totals_of ~cat:"phase" evs)
+
+(* Chrome trace-event format (the JSON-array flavour inside an object):
+   https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
+   [main_tid] names the recording's main domain. The summary object
+   lists every counter given, zeros included: "pool.spawn": 0 is
+   information (nothing ran in parallel), absence is not. *)
+let chrome_json ~main_tid ?request evs counters =
+  let evs = sort_events evs in
+  let thread tid =
+    Printf.sprintf
+      "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": %d, \
+       \"args\": {\"name\": \"%s\"}}"
+      tid
+      (if tid = main_tid then Printf.sprintf "main (domain %d)" tid
+       else Printf.sprintf "domain %d" tid)
+  in
+  let span e =
+    Printf.sprintf
+      "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"pid\": 1, \
+       \"tid\": %d, \"ts\": %.3f, \"dur\": %.3f}"
+      (json_escape e.name) (json_escape e.cat) e.tid (us e.ts_ns) (us e.dur_ns)
+  in
+  let last_ts =
+    List.fold_left (fun acc e -> Int64.max acc (Int64.add e.ts_ns e.dur_ns)) 0L
+      evs
+  in
+  let counter (name, v) =
+    if v = 0 then None
+    else
+      Some
+        (Printf.sprintf
+           "  {\"name\": \"%s\", \"cat\": \"counter\", \"ph\": \"C\", \"pid\": \
+            1, \"tid\": %d, \"ts\": %.3f, \"args\": {\"value\": %d}}"
+           (json_escape name) main_tid (us last_ts) v)
+  in
+  let tids =
+    List.sort_uniq compare (main_tid :: List.map (fun (e : event) -> e.tid) evs)
+  in
+  String.concat ""
+    [
+      "{\"traceEvents\": [\n";
+      String.concat ",\n"
+        (List.map thread tids @ List.map span evs
+        @ List.filter_map counter counters);
+      "\n],\n\"displayTimeUnit\": \"ms\",\n";
+      (match request with
+      | Some id ->
+        Printf.sprintf "\"xboundRequest\": \"%s\",\n" (json_escape id)
+      | None -> "");
+      "\"xboundCounters\": {";
+      String.concat ", "
+        (List.map
+           (fun (name, v) -> Printf.sprintf "\"%s\": %d" (json_escape name) v)
+           counters);
+      "}}\n";
+    ]
 
 (* ---------------- scopes ---------------- *)
 
 module Scope = struct
   type s = {
     sid : string;
+    stid : int;  (* the creating domain: the export's main thread *)
+    parent : s option;  (* the scope active where this one was created *)
     sm : Mutex.t;
     tally_tbl : (string, int) Hashtbl.t;
     mutable sevs : event list;
@@ -126,37 +246,44 @@ module Scope = struct
      ids are unique across domains, so they distinguish all of them. *)
   let bindings : (int, s) Hashtbl.t = Hashtbl.create 16
   let bm = Mutex.create ()
-
-  let create ~id =
-    { sid = id; sm = Mutex.create (); tally_tbl = Hashtbl.create 16; sevs = [] }
-
-  let id s = s.sid
   let self_id () = Thread.id (Thread.self ())
 
   let active () =
     if Atomic.get live = 0 then None
-    else begin
+    else
       let tid = self_id () in
-      Mutex.lock bm;
-      let r = Hashtbl.find_opt bindings tid in
-      Mutex.unlock bm;
-      r
-    end
+      Mutex.protect bm (fun () -> Hashtbl.find_opt bindings tid)
+
+  let create ~id =
+    {
+      sid = id;
+      stid = (Domain.self () :> int);
+      parent = active ();
+      sm = Mutex.create ();
+      tally_tbl = Hashtbl.create 16;
+      sevs = [];
+    }
+
+  let id s = s.sid
+
+  (* [f] under the lock of the active scope and of every scope
+     enclosing it, innermost first. *)
+  let each_active f =
+    let rec go s =
+      Mutex.lock s.sm;
+      f s;
+      Mutex.unlock s.sm;
+      Option.iter go s.parent
+    in
+    Option.iter go (active ())
 
   let tally name n =
-    if Atomic.get live > 0 then
-      match active () with
-      | None -> ()
-      | Some s ->
-        Mutex.lock s.sm;
-        Hashtbl.replace s.tally_tbl name
-          (Option.value (Hashtbl.find_opt s.tally_tbl name) ~default:0 + n);
-        Mutex.unlock s.sm
+    if n <> 0 then
+      each_active (fun s ->
+          Hashtbl.replace s.tally_tbl name
+            (Option.value (Hashtbl.find_opt s.tally_tbl name) ~default:0 + n))
 
-  let record s e =
-    Mutex.lock s.sm;
-    s.sevs <- e :: s.sevs;
-    Mutex.unlock s.sm
+  let record e = each_active (fun s -> s.sevs <- e :: s.sevs)
 
   let set_binding tid so =
     Mutex.lock bm;
@@ -177,74 +304,24 @@ module Scope = struct
     | None, 0 -> f ()
     | _ ->
       let tid = self_id () in
-      Mutex.lock bm;
-      let prev = Hashtbl.find_opt bindings tid in
-      Mutex.unlock bm;
+      let prev = Mutex.protect bm (fun () -> Hashtbl.find_opt bindings tid) in
       set_binding tid so;
       Fun.protect f ~finally:(fun () -> set_binding tid prev)
 
   let with_scope s f = with_binding (Some s) f
 
   let counter_deltas s =
-    Mutex.lock s.sm;
-    let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.tally_tbl [] in
-    Mutex.unlock s.sm;
-    List.sort (fun (a, _) (b, _) -> String.compare a b) l
+    Mutex.protect s.sm (fun () ->
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.tally_tbl [])
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-  let events s =
-    Mutex.lock s.sm;
-    let evs = s.sevs in
-    Mutex.unlock s.sm;
-    List.sort
-      (fun a b ->
-        match Int64.compare a.ts_ns b.ts_ns with
-        | 0 -> compare (a.tid, a.depth) (b.tid, b.depth)
-        | c -> c)
-      evs
+  let raw_events s = Mutex.protect s.sm (fun () -> s.sevs)
+  let events s = sort_events (raw_events s)
+  let phase_totals s = phase_totals_of (raw_events s)
 
-  let phase_totals s =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun e ->
-        if String.equal e.cat "phase" then
-          Hashtbl.replace tbl e.name
-            (Option.value (Hashtbl.find_opt tbl e.name) ~default:0.
-            +. (Int64.to_float e.dur_ns /. 1e9)))
-      (events s);
-    Hashtbl.fold (fun name sec acc -> (name, sec) :: acc) tbl []
-    |> List.sort (fun (an, a) (bn, b) ->
-           match compare b a with 0 -> String.compare an bn | c -> c)
-
-  (* A per-request Chrome trace: the scope's spans plus its counter
-     deltas, self-contained enough for chrome://tracing. *)
   let to_chrome_json s =
-    let evs = events s in
-    let cs = counter_deltas s in
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "{\"traceEvents\": [\n";
-    List.iteri
-      (fun i e ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"pid\": 1, \
-              \"tid\": %d, \"ts\": %.3f, \"dur\": %.3f}%s\n"
-             (json_escape e.name) (json_escape e.cat) e.tid (us e.ts_ns)
-             (us e.dur_ns)
-             (if i = List.length evs - 1 then "" else ",")))
-      evs;
-    Buffer.add_string b "],\n\"displayTimeUnit\": \"ms\",\n";
-    Buffer.add_string b
-      (Printf.sprintf "\"xboundRequest\": \"%s\",\n\"xboundCounters\": {"
-         (json_escape s.sid));
-    List.iteri
-      (fun i (name, v) ->
-        Buffer.add_string b
-          (Printf.sprintf "%s\"%s\": %d"
-             (if i = 0 then "" else ", ")
-             (json_escape name) v))
-      cs;
-    Buffer.add_string b "}}\n";
-    Buffer.contents b
+    chrome_json ~main_tid:s.stid ~request:s.sid (raw_events s)
+      (counter_deltas s)
 end
 
 (* ---------------- counters ---------------- *)
@@ -252,27 +329,9 @@ end
 module Counter = struct
   type c = { cname : string; v : int Atomic.t }
 
-  let registry : (string, c) Hashtbl.t = Hashtbl.create 32
-  let rm = Mutex.create ()
-
-  let make cname =
-    Mutex.lock rm;
-    let c =
-      match Hashtbl.find_opt registry cname with
-      | Some c -> c
-      | None ->
-        let c = { cname; v = Atomic.make 0 } in
-        Hashtbl.add registry cname c;
-        c
-    in
-    Mutex.unlock rm;
-    c
-
-  let incr c =
-    if enabled () then begin
-      Atomic.incr c.v;
-      Scope.tally c.cname 1
-    end
+  let registry = Registry.create ()
+  let make =
+    Registry.intern registry (fun cname -> { cname; v = Atomic.make 0 })
 
   let add c n =
     if enabled () then begin
@@ -280,19 +339,15 @@ module Counter = struct
       Scope.tally c.cname n
     end
 
+  let incr c = add c 1
   let value c = Atomic.get c.v
   let name c = c.cname
 end
 
 let counters () =
-  Mutex.lock Counter.rm;
-  let l =
-    Hashtbl.fold
-      (fun name c acc -> (name, Atomic.get c.Counter.v) :: acc)
-      Counter.registry []
-  in
-  Mutex.unlock Counter.rm;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) l
+  List.map
+    (fun (name, c) -> (name, Counter.value c))
+    (Registry.all Counter.registry)
 
 let diff ~before ~after =
   List.filter_map
@@ -306,21 +361,9 @@ let diff ~before ~after =
 module Gauge = struct
   type g = { gname : string; v : int Atomic.t }
 
-  let registry : (string, g) Hashtbl.t = Hashtbl.create 16
-  let rm = Mutex.create ()
-
-  let make gname =
-    Mutex.lock rm;
-    let g =
-      match Hashtbl.find_opt registry gname with
-      | Some g -> g
-      | None ->
-        let g = { gname; v = Atomic.make 0 } in
-        Hashtbl.add registry gname g;
-        g
-    in
-    Mutex.unlock rm;
-    g
+  let registry = Registry.create ()
+  let make =
+    Registry.intern registry (fun gname -> { gname; v = Atomic.make 0 })
 
   (* Gauges are current state, not accumulated work: they stay live
      even without an ambient sink so a snapshot taken later still sees
@@ -332,16 +375,26 @@ module Gauge = struct
 end
 
 let gauges () =
-  Mutex.lock Gauge.rm;
-  let l =
-    Hashtbl.fold
-      (fun name g acc -> (name, Atomic.get g.Gauge.v) :: acc)
-      Gauge.registry []
-  in
-  Mutex.unlock Gauge.rm;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) l
+  List.map
+    (fun (name, g) -> (name, Gauge.value g))
+    (Registry.all Gauge.registry)
 
 (* ---------------- histograms ---------------- *)
+
+(* The q-quantile of a log2 histogram given as its ascending non-empty
+   [(upper, count)] buckets: the upper edge of the bucket holding the
+   rank-th observation, clamped to [max_ns] — an upper bound on the
+   true percentile, tight to within the bucket's 2x resolution. [0L]
+   when empty. *)
+let bucket_percentile ~max_ns buckets q =
+  let count = List.fold_left (fun acc (_, n) -> acc + n) 0 buckets in
+  let rank = max 1 (int_of_float (Float.round (q *. float_of_int count))) in
+  let rec go seen = function
+    | [] -> max_ns
+    | (upper, n) :: tl ->
+      if seen + n >= rank then Int64.min upper max_ns else go (seen + n) tl
+  in
+  if count = 0 then 0L else go 0 buckets
 
 module Histogram = struct
   type h = {
@@ -352,29 +405,17 @@ module Histogram = struct
     max_ns : int Atomic.t;
   }
 
-  let registry : (string, h) Hashtbl.t = Hashtbl.create 16
-  let rm = Mutex.create ()
+  let registry = Registry.create ()
 
-  let make hname =
-    Mutex.lock rm;
-    let h =
-      match Hashtbl.find_opt registry hname with
-      | Some h -> h
-      | None ->
-        let h =
-          {
-            hname;
-            bucket = Array.init 64 (fun _ -> Atomic.make 0);
-            count = Atomic.make 0;
-            sum_ns = Atomic.make 0;
-            max_ns = Atomic.make 0;
-          }
-        in
-        Hashtbl.add registry hname h;
-        h
-    in
-    Mutex.unlock rm;
-    h
+  let make =
+    Registry.intern registry (fun hname ->
+        {
+          hname;
+          bucket = Array.init 64 (fun _ -> Atomic.make 0);
+          count = Atomic.make 0;
+          sum_ns = Atomic.make 0;
+          max_ns = Atomic.make 0;
+        })
 
   let name h = h.hname
 
@@ -414,33 +455,10 @@ module Histogram = struct
     done;
     !acc
 
-  (* Upper edge of the bucket containing the q-quantile observation,
-     clamped to the recorded maximum — an upper bound on the true
-     percentile, tight to within the bucket's 2x resolution. *)
   let percentile h q =
-    let total = Atomic.get h.count in
-    if total = 0 then 0L
-    else begin
-      let rank =
-        max 1 (int_of_float (Float.round (q *. float_of_int total)))
-      in
-      let i = ref 0 and seen = ref 0 in
-      while
-        !i < Array.length h.bucket
-        &&
-        (seen := !seen + Atomic.get h.bucket.(!i);
-         !seen < rank)
-      do
-        incr i
-      done;
-      Int64.min (bucket_upper !i) (Int64.of_int (Atomic.get h.max_ns))
-    end
+    bucket_percentile ~max_ns:(Int64.of_int (Atomic.get h.max_ns)) (buckets h) q
 
-  let all () =
-    Mutex.lock rm;
-    let l = Hashtbl.fold (fun _ h acc -> h :: acc) registry [] in
-    Mutex.unlock rm;
-    List.sort (fun a b -> String.compare a.hname b.hname) l
+  let all () = List.map snd (Registry.all registry)
 end
 
 (* ---------------- spans ---------------- *)
@@ -464,120 +482,41 @@ let span ?(cat = "phase") name f =
             depth }
         in
         if t.retain_events then buf.evs <- e :: buf.evs;
-        (match Scope.active () with
-        | Some s -> Scope.record s e
-        | None -> ());
+        Scope.record e;
         (* Completed-span aggregate: what snapshots report even when the
            sink drops events (the long-lived daemon). *)
         Histogram.observe
           (Histogram.make (Printf.sprintf "span.%s.%s_ns" cat name))
           dur_ns)
 
-let events t =
-  Mutex.lock t.m;
-  let bufs = t.buffers in
-  Mutex.unlock t.m;
+let raw_events t =
+  let bufs = Mutex.protect t.m (fun () -> t.buffers) in
   List.concat_map (fun b -> b.evs) bufs
-  |> List.sort (fun a b ->
-         match Int64.compare a.ts_ns b.ts_ns with
-         | 0 -> compare (a.tid, a.depth) (b.tid, b.depth)
-         | c -> c)
+
+let events t = sort_events (raw_events t)
 
 (* ---------------- export ---------------- *)
 
-(* Chrome trace-event format (the JSON-array flavour inside an object):
-   https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU *)
 let to_chrome_json t =
-  let evs = events t in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\": [\n";
-  let tids =
-    List.sort_uniq compare
-      (t.main_tid :: List.map (fun (e : event) -> e.tid) evs)
-  in
-  List.iter
-    (fun tid ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": \
-            %d, \"args\": {\"name\": \"%s\"}},\n"
-           tid
-           (if tid = t.main_tid then Printf.sprintf "main (domain %d)" tid
-            else Printf.sprintf "domain %d" tid)))
-    tids;
-  let cs = List.filter (fun (_, v) -> v <> 0) (counters ()) in
-  let last_ts = ref 0L in
-  List.iteri
-    (fun i e ->
-      let fin = Int64.add e.ts_ns e.dur_ns in
-      if fin > !last_ts then last_ts := fin;
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"pid\": 1, \
-            \"tid\": %d, \"ts\": %.3f, \"dur\": %.3f}%s\n"
-           (json_escape e.name) (json_escape e.cat) e.tid (us e.ts_ns)
-           (us e.dur_ns)
-           (if i = List.length evs - 1 && cs = [] then "" else ",")))
-    evs;
-  List.iteri
-    (fun i (name, v) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"name\": \"%s\", \"cat\": \"counter\", \"ph\": \"C\", \"pid\": \
-            1, \"tid\": %d, \"ts\": %.3f, \"args\": {\"value\": %d}}%s\n"
-           (json_escape name) t.main_tid (us !last_ts) v
-           (if i = List.length cs - 1 then "" else ",")))
-    cs;
-  Buffer.add_string b "],\n\"displayTimeUnit\": \"ms\",\n\"xboundCounters\": {";
-  (* the summary object lists every registered counter, zeros included:
-     "pool.spawn": 0 is information (nothing ran in parallel), absence
-     is not *)
-  List.iteri
-    (fun i (name, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s\"%s\": %d" (if i = 0 then "" else ", ")
-           (json_escape name) v))
-    (counters ());
-  Buffer.add_string b "}}\n";
-  Buffer.contents b
+  chrome_json ~main_tid:t.main_tid (raw_events t) (counters ())
 
 let write_chrome t ~file =
   Out_channel.with_open_text file (fun oc ->
       output_string oc (to_chrome_json t))
 
-let span_totals ?cat t =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      if match cat with None -> true | Some c -> String.equal c e.cat then begin
-        let s, n =
-          Option.value (Hashtbl.find_opt tbl e.name) ~default:(0., 0)
-        in
-        Hashtbl.replace tbl e.name (s +. (Int64.to_float e.dur_ns /. 1e9), n + 1)
-      end)
-    (events t);
-  Hashtbl.fold (fun name sn acc -> (name, sn) :: acc) tbl []
-  |> List.sort (fun (an, (a, _)) (bn, (b, _)) ->
-         match compare b a with 0 -> String.compare an bn | c -> c)
-
-let phase_totals t =
-  List.map (fun (name, (s, _)) -> (name, s)) (span_totals ~cat:"phase" t)
+let span_totals ?cat t = span_totals_of ?cat (raw_events t)
+let phase_totals t = phase_totals_of (raw_events t)
 
 let tid_busy t =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      if String.equal e.cat "pool" then
-        Hashtbl.replace tbl e.tid
-          (Option.value (Hashtbl.find_opt tbl e.tid) ~default:0.
-          +. (Int64.to_float e.dur_ns /. 1e9)))
-    (events t);
-  Hashtbl.fold (fun tid s acc -> (tid, s) :: acc) tbl []
+  fold_spans
+    (fun e -> if String.equal e.cat "pool" then Some e.tid else None)
+    (raw_events t)
+  |> List.map (fun (tid, (s, _)) -> (tid, s))
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let stats_summary t =
   let b = Buffer.create 1024 in
-  let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.origin) /. 1e9 in
+  let wall = secs (Int64.sub (Monotonic_clock.now ()) t.origin) in
   Buffer.add_string b (Printf.sprintf "telemetry (wall %.3f s)\n" wall);
   (match span_totals t with
   | [] -> ()
@@ -680,19 +619,10 @@ module Snapshot = struct
 
   type t = snap
 
-  let percentile_of ~buckets ~count q =
-    if count <= 0 then 0L
-    else begin
-      let rank =
-        max 1 (int_of_float (Float.round (q *. float_of_int count)))
-      in
-      let rec go seen = function
-        | [] -> 0L
-        | (upper, n) :: tl ->
-          if seen + n >= rank then upper else go (seen + n) tl
-      in
-      go 0 buckets
-    end
+  let histo ~hname ~count ~sum_ns ~max_ns buckets =
+    let p = bucket_percentile ~max_ns buckets in
+    { hname; count; sum_ns; max_ns; p50 = p 0.50; p90 = p 0.90; p99 = p 0.99;
+      buckets }
 
   let take () =
     let histograms =
@@ -702,22 +632,14 @@ module Snapshot = struct
           if count = 0 then None
           else
             Some
-              {
-                hname = Histogram.name h;
-                count;
-                sum_ns;
-                max_ns;
-                p50 = Histogram.percentile h 0.50;
-                p90 = Histogram.percentile h 0.90;
-                p99 = Histogram.percentile h 0.99;
-                buckets = Histogram.buckets h;
-              })
+              (histo ~hname:(Histogram.name h) ~count ~sum_ns ~max_ns
+                 (Histogram.buckets h)))
         (Histogram.all ())
     in
     let now = Monotonic_clock.now () in
     {
       taken_ns = now;
-      uptime_s = Int64.to_float (Int64.sub now process_origin) /. 1e9;
+      uptime_s = secs (Int64.sub now process_origin);
       rss_bytes = rss_bytes ();
       active_spans = Atomic.get active_spans;
       counters = counters ();
@@ -728,7 +650,8 @@ module Snapshot = struct
   (* Counter and histogram deltas over the window; gauges, rss and
      active-span count are instantaneous so the [after] values stand.
      [uptime_s] of a diff is the window length, so rates are
-     [delta / uptime_s]. *)
+     [delta / uptime_s]. The window's percentiles are clamped to the
+     cumulative maximum, the only maximum a snapshot knows. *)
   let diff ~before ~after =
     let counters = diff ~before:before.counters ~after:after.counters in
     let histograms =
@@ -745,28 +668,17 @@ module Snapshot = struct
           in
           let count = ha.count - count0 in
           if count <= 0 then None
-          else begin
-            let buckets =
-              List.filter_map
-                (fun (u, n) ->
-                  let n0 =
-                    Option.value (List.assoc_opt u buckets0) ~default:0
-                  in
-                  if n - n0 > 0 then Some (u, n - n0) else None)
-                ha.buckets
-            in
+          else
             Some
-              {
-                hname = ha.hname;
-                count;
-                sum_ns = Int64.sub ha.sum_ns sum0;
-                max_ns = ha.max_ns;
-                p50 = percentile_of ~buckets ~count 0.50;
-                p90 = percentile_of ~buckets ~count 0.90;
-                p99 = percentile_of ~buckets ~count 0.99;
-                buckets;
-              }
-          end)
+              (histo ~hname:ha.hname ~count ~sum_ns:(Int64.sub ha.sum_ns sum0)
+                 ~max_ns:ha.max_ns
+                 (List.filter_map
+                    (fun (u, n) ->
+                      let n0 =
+                        Option.value (List.assoc_opt u buckets0) ~default:0
+                      in
+                      if n - n0 > 0 then Some (u, n - n0) else None)
+                    ha.buckets)))
         after.histograms
     in
     {

@@ -15,14 +15,15 @@
       (queue depth, inflight requests, ...);
     - {e histograms}: log2-bucketed distributions (task run times,
       single-flight wait times, queue depths);
-    - {e scopes}: per-request attribution — every counter increment and
-      span recorded by a thread with a bound scope is tallied into it;
+    - {e scopes}: per-call attribution — every counter increment and
+      span recorded by a thread with a bound scope is tallied into it
+      and into every scope it is nested in;
     - {e snapshots}: a point-in-time copy of every counter, gauge and
       histogram, with diffs between snapshots and a Prometheus text
       exporter;
     - {e exporters}: Chrome trace-event JSON (load it in
-      [chrome://tracing] or [ui.perfetto.dev]) and a compact stats
-      summary.
+      [chrome://tracing] or [ui.perfetto.dev]), one exporter for a sink
+      and for a scope, and a compact stats summary.
 
     Telemetry is {e ambient}: instrumentation sites call {!span} /
     {!Counter.incr} unconditionally, and every such call is a single
@@ -77,7 +78,8 @@ val uptime_s : unit -> float
     aggregates). Every completed span additionally feeds the
     process-wide histogram [span.<cat>.<name>_ns], which is what
     {!Snapshot.take} reports as completed-span aggregates, and is
-    recorded into the calling thread's bound {!Scope}, if any. *)
+    recorded into the calling thread's bound {!Scope} and the scopes
+    enclosing it, if any. *)
 val span : ?cat:string -> string -> (unit -> 'a) -> 'a
 
 (** A recorded span. [ts_ns] is relative to the sink's creation;
@@ -98,19 +100,26 @@ val events : t -> event list
 (** {1 Scopes}
 
     A scope attributes telemetry to one logical operation — in the
-    daemon, one request. Binding is per {e thread} (systhread id, which
-    is unique across domains: each daemon executor domain runs one
-    thread, while the main domain runs the reader threads), and the
-    domain pool propagates the submitting thread's binding into its
-    workers, so work fanned out on behalf of a request still tallies
-    into that request's scope. With no scope bound anywhere in the
-    process, the attribution hook in {!Counter.incr} is one atomic
-    load. *)
+    daemon, one request; in {!Xbound.analyze} with a sink, one call.
+    Binding is per {e thread} (systhread id, which is unique across
+    domains: each daemon executor domain runs one thread, while the
+    main domain runs the reader threads), and the domain pool
+    propagates the submitting thread's binding into its workers, so
+    work fanned out on behalf of a request still tallies into that
+    request's scope.
+
+    Scopes nest: a scope created while another is bound to the thread
+    also records its tallies and spans into that enclosing scope (and
+    its enclosing ones), so a request scope still sees the work of an
+    analysis that runs in its own scope. With no scope bound anywhere
+    in the process, the attribution hook in {!Counter.incr} is one
+    atomic load. *)
 
 module Scope : sig
   type s
 
-  (** [create ~id] — a fresh scope labelled [id] (e.g. a request id). *)
+  (** [create ~id] — a fresh scope labelled [id] (e.g. a request id),
+      nested in the scope bound to the calling thread, if any. *)
   val create : id:string -> s
 
   val id : s -> string
@@ -127,18 +136,22 @@ module Scope : sig
       {e submitting} thread's binding (or absence of one) in a worker. *)
   val with_binding : s option -> (unit -> 'a) -> 'a
 
-  (** Counter increments tallied into this scope, sorted by name. *)
+  (** Counter increments tallied into this scope and the scopes nested
+      in it, sorted by name; zero increments are not listed. *)
   val counter_deltas : s -> (string * int) list
 
-  (** Spans recorded under this scope, in timestamp order. *)
+  (** Spans recorded under this scope and the scopes nested in it, in
+      timestamp order. *)
   val events : s -> event list
 
   (** Seconds per ["phase"]-category span recorded under this scope,
       sorted by descending total. *)
   val phase_totals : s -> (string * float) list
 
-  (** The scope as a self-contained Chrome trace-event document: its
-      spans plus an ["xboundCounters"] object of its counter deltas. *)
+  (** The scope as a self-contained Chrome trace-event document, in
+      the layout of the sink's {!Telemetry.to_chrome_json}: its spans,
+      with the creating domain as the main thread, its counter deltas,
+      and an ["xboundRequest"] member holding its id. *)
   val to_chrome_json : s -> string
 end
 
@@ -219,7 +232,8 @@ module Histogram : sig
 
   (** [percentile h q] ([0. <= q <= 1.]) — an upper bound on the
       q-quantile observation: the upper edge of the log2 bucket
-      holding it, clamped to the recorded maximum. [0L] when empty. *)
+      holding it, clamped to the recorded maximum. [0L] when empty.
+      {!Snapshot} percentiles are computed the same way. *)
   val percentile : h -> float -> int64
 
   val name : h -> string
@@ -261,7 +275,9 @@ module Snapshot : sig
   val take : unit -> t
 
   (** [diff ~before ~after] — counter and histogram deltas over the
-      window (histogram percentiles recomputed from the bucket deltas);
+      window (histogram percentiles recomputed from the bucket deltas,
+      clamped to [after]'s maximum, so a window that starts empty has
+      [after]'s percentiles);
       gauges, rss and active-span count are instantaneous, so the
       [after] values stand. Histograms and counters with no activity in
       the window are dropped. *)
@@ -277,10 +293,12 @@ end
 
 (** {1 Export} *)
 
-(** The sink as a Chrome trace-event JSON document: one ["X"] event per
-    span, ["M"] thread-name metadata per domain, and one trailing ["C"]
+(** The sink as a Chrome trace-event JSON document: ["M"] thread-name
+    metadata per domain (the sink's creating domain named ["main ..."]),
+    one ["X"] event per span in timestamp order, and one trailing ["C"]
     event per nonzero counter. A top-level ["xboundCounters"] object
-    lists every registered counter, zeros included. *)
+    lists every registered counter, zeros included. {!Scope.to_chrome_json}
+    writes the same layout. *)
 val to_chrome_json : t -> string
 
 val write_chrome : t -> file:string -> unit
@@ -289,8 +307,8 @@ val write_chrome : t -> file:string -> unit
     (default: every category), sorted by descending total. *)
 val span_totals : ?cat:string -> t -> (string * (float * int)) list
 
-(** Seconds per ["phase"]-category span name — the per-phase breakdown
-    {!Xbound.analyze} reports. *)
+(** Seconds per ["phase"]-category span name, sorted by descending
+    total — the breakdown {!Scope.phase_totals} gives per scope. *)
 val phase_totals : t -> (string * float) list
 
 (** Busy seconds per domain, from ["pool"]-category task spans. *)

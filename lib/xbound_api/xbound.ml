@@ -291,16 +291,6 @@ let exact_detail a =
 let static_detail a =
   match a.detail with Static_detail s -> Some s | Exact_detail _ -> None
 
-(* Per-call telemetry scoping: the sink's span totals and the process
-   counters are monotonic, so the call's share is the before/after
-   delta. *)
-let phase_diff ~before ~after =
-  List.filter_map
-    (fun (name, s) ->
-      let s0 = Option.value (List.assoc_opt name before) ~default:0. in
-      if s -. s0 > 0. then Some (name, s -. s0) else None)
-    after
-
 let config_of p =
   {
     Core.Analyze.default_config with
@@ -313,20 +303,9 @@ let config_of p =
    with the real path lengths, which the static bound dominates). *)
 let auto_exact_threshold = 50_000
 
-let analyze ?(ctx = Ctx.default) p =
-  in_ctx ctx @@ fun () ->
-  let sink = Telemetry.ambient () in
-  let phases0 =
-    match sink with Some s -> Telemetry.phase_totals s | None -> []
-  in
-  let counters0 = match sink with Some _ -> Telemetry.counters () | None -> [] in
-  let observed () =
-    match sink with
-    | None -> ([], [])
-    | Some s ->
-      ( phase_diff ~before:phases0 ~after:(Telemetry.phase_totals s),
-        Telemetry.diff ~before:counters0 ~after:(Telemetry.counters ()) )
-  in
+(* The tiers, with [phase_timings]/[counter_deltas] left empty:
+   {!analyze} fills them from its scope. *)
+let analyze_tiers (ctx : Ctx.t) p =
   with_env (fun cpu pa ->
       let exact () =
         match
@@ -336,7 +315,6 @@ let analyze ?(ctx = Ctx.default) p =
         | a ->
           let pe = a.Core.Analyze.peak_energy in
           let st = a.Core.Analyze.sym_stats in
-          let phase_timings, counter_deltas = observed () in
           Ok
             {
               program = p;
@@ -351,8 +329,8 @@ let analyze ?(ctx = Ctx.default) p =
               dedup_hits = st.Gatesim.Sym.dedup_hits;
               total_cycles = st.Gatesim.Sym.total_cycles;
               power_trace_w = a.Core.Analyze.power_trace;
-              phase_timings;
-              counter_deltas;
+              phase_timings = [];
+              counter_deltas = [];
               detail = Exact_detail a;
             }
         | exception Gatesim.Sym.Path_limit m ->
@@ -378,7 +356,6 @@ let analyze ?(ctx = Ctx.default) p =
             (Error.Static_cfg
                { program = p.p_name; message = Static.Cfg.error_to_string e })
         | Ok s ->
-          let phase_timings, counter_deltas = observed () in
           Ok
             {
               program = p;
@@ -397,8 +374,8 @@ let analyze ?(ctx = Ctx.default) p =
               dedup_hits = 0;
               total_cycles = s.Static.Ipet.s_cycle_bound;
               power_trace_w = [||];
-              phase_timings;
-              counter_deltas;
+              phase_timings = [];
+              counter_deltas = [];
               detail = Static_detail s;
             }
         | exception Gatesim.Sym.Path_limit m ->
@@ -422,6 +399,24 @@ let analyze ?(ctx = Ctx.default) p =
         | Ok s when s.peak_energy_cycles <= auto_exact_threshold -> (
           match exact () with Ok a -> Ok a | Error _ -> Ok s)
         | Ok s -> Ok s))
+
+(* With a telemetry sink, the call runs in its own scope: exactly its
+   spans and counter increments, pool tasks included, whatever else runs
+   at the same time. The scope nests in any scope already active (a
+   daemon request's), which still sees the call's telemetry. *)
+let analyze ?(ctx = Ctx.default) p =
+  in_ctx ctx @@ fun () ->
+  match ctx.Ctx.telemetry with
+  | None -> analyze_tiers ctx p
+  | Some _ ->
+    let scope = Telemetry.Scope.create ~id:p.p_name in
+    Telemetry.Scope.with_scope scope (fun () -> analyze_tiers ctx p)
+    |> Result.map (fun a ->
+           {
+             a with
+             phase_timings = Telemetry.Scope.phase_totals scope;
+             counter_deltas = Telemetry.Scope.counter_deltas scope;
+           })
 
 type concrete = {
   cycles : int;

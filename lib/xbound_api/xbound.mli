@@ -100,8 +100,9 @@ module Ctx : sig
             setting (the [--jobs] flag / recommended count) *)
     telemetry : Telemetry.t option;
         (** when set, installed as the ambient sink for the duration of
-            the call: spans, counters and histograms are recorded and
-            the call's per-phase timings appear on the result *)
+            the call: spans, counters and histograms are recorded, and
+            {!analyze} runs in its own {!Telemetry.Scope}, whose phase
+            timings and counter deltas appear on the result *)
     tier : Tier.t;
         (** which bound tier {!analyze} runs (default [Exact]) *)
   }
@@ -159,6 +160,10 @@ val bench : string -> (program, Error.t) Stdlib.result
 (** All bundled benchmarks as [(name, description)]. *)
 val benchmarks : unit -> (string * string) list
 
+(** [find_bench name] — the bundled benchmark's definition (inputs
+    generator, knobs), or [Unknown_benchmark] listing every name. *)
+val find_bench : string -> (Benchprogs.Bench.t, Error.t) Stdlib.result
+
 (** {1 Analysis} *)
 
 (** Tier-specific escape hatch to the full result. *)
@@ -184,13 +189,12 @@ type analysis = {
       (** per-cycle peak power bound, W ([[||]] for static tier) *)
   phase_timings : (string * float) list;
       (** seconds per analysis phase (explore, peak-power, flatten,
-          peak-energy, ...) recorded during this call; [[]] when no
-          telemetry sink was active. Process-wide deltas: with
-          concurrent analyses the phases of overlapping calls are
-          attributed to all of them. *)
+          peak-energy, ...) recorded during this call, from the call's
+          {!Telemetry.Scope}; [[]] unless [ctx.telemetry] is set *)
   counter_deltas : (string * int) list;
-      (** pool/cache counter deltas over this call (same caveat);
-          [[]] when no telemetry sink was active *)
+      (** counter increments made by this call (pool tasks included,
+          concurrent calls excluded); [[]] unless [ctx.telemetry] is
+          set *)
   detail : detail;  (** escape hatch to the full tier-specific result *)
 }
 

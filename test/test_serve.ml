@@ -735,18 +735,17 @@ let test_serve_admission_reject () =
 let test_serve_byte_identical () =
   let cache = Cache.create () in
   let ctx = Xbound.Ctx.create ~cache ~jobs:2 () in
+  let exact_explain fmt =
+    Wire.Request.Explain
+      { bench = "tea8"; fmt; top = 4; min_gap = 5; tier = Xbound.Tier.Exact }
+  in
   let requests =
     [
       Wire.Request.Analyze { bench = "tea8"; tier = Xbound.Tier.Exact };
       Wire.Request.Analyze { bench = "tea8"; tier = Xbound.Tier.Static };
-      Wire.Request.Explain
-        {
-          bench = "tea8";
-          fmt = Wire.Request.Csv;
-          top = 4;
-          min_gap = 5;
-          tier = Xbound.Tier.Exact;
-        };
+      exact_explain Wire.Request.Csv;
+      exact_explain Wire.Request.Table;
+      exact_explain Wire.Request.Json;
       Wire.Request.Explain
         {
           bench = "tea8";
@@ -759,6 +758,11 @@ let test_serve_byte_identical () =
       Wire.Request.Bench_list;
     ]
   in
+  (* The in-process CLI renders without a sink (no --trace or --stats),
+     while the daemon always keeps one, possibly left by an earlier
+     server in this process. *)
+  let sink = Telemetry.ambient () in
+  Telemetry.set_ambient None;
   let local =
     List.map
       (fun r ->
@@ -767,6 +771,7 @@ let test_serve_byte_identical () =
         | Error e -> Alcotest.fail (Xbound.Error.to_string e))
       requests
   in
+  Telemetry.set_ambient sink;
   with_server ~ctx @@ fun addr ->
   with_client addr @@ fun c ->
   List.iter2

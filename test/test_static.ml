@@ -1,6 +1,7 @@
 (* Static tier: CFG extraction on hand-written listings, and the
    soundness cross-check static_bound >= exact_bound on the paper
-   benchmark suite. *)
+   benchmark suite, as computed and as read back from the JSON
+   report. *)
 
 module E = Benchprogs.Bench.E
 
@@ -163,7 +164,20 @@ let test_dominates b () =
        a.Core.Analyze.peak_energy.Core.Peak_energy.cycles)
     true
     (s.Static.Ipet.s_cycle_bound
-    >= a.Core.Analyze.peak_energy.Core.Peak_energy.cycles)
+    >= a.Core.Analyze.peak_energy.Core.Peak_energy.cycles);
+  (* A JSON consumer reads the very bounds that dominate, not a rounded
+     value that may fall below them. *)
+  let json = Explain.Ejson.parse (Static.Ipet.to_json s) in
+  List.iter
+    (fun (key, bound) ->
+      match Explain.Ejson.float_member key json with
+      | Some v ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: JSON %s %.17g = %.17g" name key v bound)
+          true (Float.equal v bound)
+      | None -> Alcotest.failf "%s: JSON has no %s" name key)
+    [ ("peak_power_w", s.Static.Ipet.s_peak_power_w);
+      ("peak_energy_j", s.Static.Ipet.s_peak_energy_j) ]
 
 (* {1 Block cache namespace} *)
 

@@ -243,8 +243,8 @@ let count_sub ~sub s =
 (* ---------------- request scopes ---------------- *)
 
 (* A scope sees exactly the counter increments and spans made while it
-   is entered on the executing thread — process-wide aggregates keep
-   accumulating as before. *)
+   is entered on the executing thread, including those of scopes nested
+   in it — process-wide aggregates keep accumulating as before. *)
 let test_scope_tally () =
   let c = Telemetry.Counter.make "test.scope_tally" in
   let t = Telemetry.create () in
@@ -256,7 +256,20 @@ let test_scope_tally () =
           Telemetry.Counter.add c 3;
           Telemetry.span ~cat:"phase" "work" (fun () ->
               Telemetry.Counter.incr c));
-      Telemetry.Scope.with_scope s2 (fun () -> Telemetry.Counter.add c 10);
+      Telemetry.Scope.with_scope s2 (fun () ->
+          Telemetry.Counter.add c 10;
+          (* a scope created inside another nests in it *)
+          let inner = Telemetry.Scope.create ~id:"r2.inner" in
+          Telemetry.Scope.with_scope inner (fun () ->
+              Telemetry.span ~cat:"phase" "nested" (fun () ->
+                  Telemetry.Counter.add c 7));
+          Alcotest.(check (list (pair string int)))
+            "inner sees its own increments"
+            [ ("test.scope_tally", 7) ]
+            (Telemetry.Scope.counter_deltas inner);
+          Alcotest.(check (list string)) "inner recorded its span"
+            [ "nested" ]
+            (List.map fst (Telemetry.Scope.phase_totals inner)));
       Telemetry.Counter.add c 100;
       Alcotest.(check string) "id" "r1" (Telemetry.Scope.id s1);
       Alcotest.(check (list (pair string int)))
@@ -264,10 +277,12 @@ let test_scope_tally () =
         [ ("test.scope_tally", 4) ]
         (Telemetry.Scope.counter_deltas s1);
       Alcotest.(check (list (pair string int)))
-        "s2 likewise"
-        [ ("test.scope_tally", 10) ]
+        "s2 sees its own and its nested scope's increments"
+        [ ("test.scope_tally", 17) ]
         (Telemetry.Scope.counter_deltas s2);
-      Alcotest.(check int) "process-wide total unaffected" 119
+      Alcotest.(check (list string)) "s2 sees the nested span" [ "nested" ]
+        (List.map fst (Telemetry.Scope.phase_totals s2));
+      Alcotest.(check int) "process-wide total unaffected" 126
         (Telemetry.Counter.value c);
       Alcotest.(check int) "s1 recorded its span" 1
         (List.length (Telemetry.Scope.events s1));
@@ -297,6 +312,7 @@ let test_snapshot_take_and_diff () =
   let c = Telemetry.Counter.make "test.snap_ctr" in
   let h = Telemetry.Histogram.make "test.snap_hist_ns" in
   let g = Telemetry.Gauge.make "test.snap_gauge" in
+  let fresh = Telemetry.Histogram.make "test.snap_fresh_ns" in
   let t = Telemetry.create () in
   Telemetry.with_ambient t (fun () ->
       Telemetry.Counter.add c 2;
@@ -304,6 +320,7 @@ let test_snapshot_take_and_diff () =
       let before = Telemetry.Snapshot.take () in
       Telemetry.Counter.add c 3;
       Telemetry.Histogram.observe h 5000L;
+      Telemetry.Histogram.observe fresh 1000L;
       Telemetry.Gauge.set g 7;
       let after = Telemetry.Snapshot.take () in
       Alcotest.(check (option int)) "cumulative counter" (Some 5)
@@ -315,11 +332,23 @@ let test_snapshot_take_and_diff () =
         (List.assoc_opt "test.snap_ctr" d.Telemetry.Snapshot.counters);
       Alcotest.(check (option int)) "gauge is instantaneous" (Some 7)
         (List.assoc_opt "test.snap_gauge" d.Telemetry.Snapshot.gauges);
-      let histo (s : Telemetry.Snapshot.t) =
+      let histo ?(name = "test.snap_hist_ns") (s : Telemetry.Snapshot.t) =
         List.find
-          (fun (x : Telemetry.Snapshot.histo) -> x.hname = "test.snap_hist_ns")
+          (fun (x : Telemetry.Snapshot.histo) -> x.hname = name)
           s.Telemetry.Snapshot.histograms
       in
+      (* a window that starts empty has the same percentiles as the
+         snapshot that closes it, and none exceeds the maximum *)
+      let ft = histo ~name:"test.snap_fresh_ns" after
+      and fd = histo ~name:"test.snap_fresh_ns" d in
+      List.iter
+        (fun (q, take, window) ->
+          Alcotest.(check int64) (q ^ " of the window = of take") take window;
+          Alcotest.(check bool) (q ^ " <= max") true
+            (window <= fd.Telemetry.Snapshot.max_ns))
+        [ ("p50", ft.Telemetry.Snapshot.p50, fd.Telemetry.Snapshot.p50);
+          ("p90", ft.Telemetry.Snapshot.p90, fd.Telemetry.Snapshot.p90);
+          ("p99", ft.Telemetry.Snapshot.p99, fd.Telemetry.Snapshot.p99) ];
       let hb = histo after and hd = histo d in
       Alcotest.(check int) "cumulative count" 2 hb.Telemetry.Snapshot.count;
       Alcotest.(check int) "windowed count" 1 hd.Telemetry.Snapshot.count;
@@ -587,7 +616,42 @@ let test_analysis_fields_scoped_per_call () =
                 (name ^ " nested under analyze")
                 true (s <= total +. 1e-9))
           a.Xbound.phase_timings)
-    [ a1; a2 ]
+    [ a1; a2 ];
+  (* Per call also when calls overlap: two domains analyzing at the same
+     time each count exactly their own engine cycles, as a call run
+     alone does. And a request scope entered around a call (the daemon's
+     access log) still sees the call's counters. Both run under the sink
+     as the CLI and the daemon do, so no call's sink restore disables
+     the other's. *)
+  let mult =
+    match Xbound.bench "mult" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail (Xbound.Error.to_string e)
+  in
+  let cycles (a : Xbound.analysis) =
+    Option.value (List.assoc_opt "engine.cycles" a.Xbound.counter_deltas)
+      ~default:0
+  in
+  let analyze_mult () =
+    match Xbound.analyze ~ctx mult with
+    | Ok a -> a
+    | Error e -> Alcotest.fail (Xbound.Error.to_string e)
+  in
+  Telemetry.with_ambient sink (fun () ->
+      let alone = cycles (analyze_mult ()) in
+      Alcotest.(check bool) "mult simulates cycles" true (alone > 0);
+      let doms = List.init 2 (fun _ -> Domain.spawn analyze_mult) in
+      List.iter
+        (fun d ->
+          Alcotest.(check int) "concurrent call counts its own cycles" alone
+            (cycles (Domain.join d)))
+        doms;
+      let req = Telemetry.Scope.create ~id:"req" in
+      let a = Telemetry.Scope.with_scope req analyze_mult in
+      Alcotest.(check int) "call inside a request scope" alone (cycles a);
+      Alcotest.(check (option int)) "request scope sees the call's counters"
+        (Some alone)
+        (List.assoc_opt "engine.cycles" (Telemetry.Scope.counter_deltas req)))
 
 let () =
   Alcotest.run "telemetry"
