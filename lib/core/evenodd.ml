@@ -28,11 +28,11 @@ let replay ~initial (cycles : Gatesim.Trace.cycle array) =
   Array.iteri
     (fun k cy ->
       let b = Bytes.copy !cur in
-      Array.iter
-        (fun d ->
-          let net, _, nv = Gatesim.Trace.unpack d in
-          Bytes.set b net (Char.chr nv))
-        cy.Gatesim.Trace.deltas;
+      let deltas = cy.Gatesim.Trace.deltas in
+      for j = 0 to Array.length deltas - 1 do
+        let d = Array.unsafe_get deltas j in
+        Bytes.set b (Gatesim.Trace.net d) (Char.chr (Gatesim.Trace.new_v d))
+      done;
       out.(k + 1) <- b;
       cur := b)
     cycles;
@@ -53,13 +53,15 @@ let maximize lib nl ~parity (a : assigned) (cycles : Gatesim.Trace.cycle array) 
           Bytes.set prev net (Char.chr (Tri.to_int t1));
           Bytes.set cur net (Char.chr (Tri.to_int t2))
         in
-        Array.iter
-          (fun d ->
-            let net, old_v, new_v = Gatesim.Trace.unpack d in
-            if old_v = 2 && new_v = 2 then assign_max net
-            else if new_v = 2 then Bytes.set cur net (flip (Bytes.get prev net))
-            else if old_v = 2 then Bytes.set prev net (flip (Bytes.get cur net)))
-          cy.Gatesim.Trace.deltas;
+        let deltas = cy.Gatesim.Trace.deltas in
+        for j = 0 to Array.length deltas - 1 do
+          let d = Array.unsafe_get deltas j in
+          let net = Gatesim.Trace.net d in
+          let old_v = Gatesim.Trace.old_v d and new_v = Gatesim.Trace.new_v d in
+          if old_v = 2 && new_v = 2 then assign_max net
+          else if new_v = 2 then Bytes.set cur net (flip (Bytes.get prev net))
+          else if old_v = 2 then Bytes.set prev net (flip (Bytes.get cur net))
+        done;
         Array.iter assign_max cy.Gatesim.Trace.x_active
       end)
     cycles;

@@ -22,9 +22,7 @@ let union_peak_bound pa (trees : Gatesim.Trace.tree list) =
           Array.iter
             (fun (cy : Gatesim.Trace.cycle) ->
               Array.iter
-                (fun d ->
-                  let net, _, _ = Gatesim.Trace.unpack d in
-                  Hashtbl.replace active net ())
+                (fun d -> Hashtbl.replace active (Gatesim.Trace.net d) ())
                 cy.Gatesim.Trace.deltas;
               Array.iter
                 (fun net -> Hashtbl.replace active net ())

@@ -17,14 +17,17 @@ let compute (tree : Gatesim.Trace.tree) =
   let nets = Array.length tree.Gatesim.Trace.initial in
   let fnets = float_of_int (max nets 1) in
   let x = Tri.I.x in
-  (* Replay state: current net values and a running X count, maintained
-     incrementally from the recorded deltas (x_active nets are X on both
-     sides of the boundary, so they never move the count). *)
-  let values = Array.copy tree.Gatesim.Trace.initial in
+  (* Replay state: a running X count, moved only by the recorded deltas
+     (x_active nets are X on both sides of the boundary, so they never
+     move it). A delta carries its old and new value, so no net values
+     need replaying. *)
   let xs =
-    ref (Array.fold_left (fun acc v -> if v = x then acc + 1 else acc) 0 values)
+    ref
+      (Array.fold_left
+         (fun acc v -> if v = x then acc + 1 else acc)
+         0 tree.Gatesim.Trace.initial)
   in
-  let densities = ref [] in
+  let x_density = Array.make (Gatesim.Trace.count_cycles tree) 0. in
   let segments = ref 0
   and fork_nodes = ref 0
   and seen_edges = ref 0
@@ -32,19 +35,20 @@ let compute (tree : Gatesim.Trace.tree) =
   and cycles = ref 0
   and max_depth = ref 0 in
   let apply (cy : Gatesim.Trace.cycle) =
-    Array.iter
-      (fun packed ->
-        let net, old_v, new_v = Gatesim.Trace.unpack packed in
-        values.(net) <- new_v;
-        if old_v = x && new_v <> x then decr xs
-        else if old_v <> x && new_v = x then incr xs)
-      cy.Gatesim.Trace.deltas;
-    incr cycles;
-    densities := (float_of_int !xs /. fnets) :: !densities
+    let deltas = cy.Gatesim.Trace.deltas in
+    for k = 0 to Array.length deltas - 1 do
+      let d = Array.unsafe_get deltas k in
+      let old_x = Gatesim.Trace.old_v d = x
+      and new_x = Gatesim.Trace.new_v d = x in
+      if old_x && not new_x then decr xs
+      else if new_x && not old_x then incr xs
+    done;
+    x_density.(!cycles) <- float_of_int !xs /. fnets;
+    incr cycles
   in
   (* Same traversal order as [Trace.flatten]: Run cycles, then the
      continuation; at a fork, not-taken before taken, restoring the
-     fork-point values for the second child. *)
+     fork-point X count for the second child. *)
   let rec go depth = function
     | Gatesim.Trace.Run { cycles = cs; next } ->
       incr segments;
@@ -52,9 +56,8 @@ let compute (tree : Gatesim.Trace.tree) =
       go (depth + Array.length cs) next
     | Gatesim.Trace.Fork { not_taken; taken } ->
       incr fork_nodes;
-      let snap = Array.copy values and snap_xs = !xs in
+      let snap_xs = !xs in
       go depth not_taken;
-      Array.blit snap 0 values 0 nets;
       xs := snap_xs;
       go depth taken
     | Gatesim.Trace.End_path ->
@@ -74,7 +77,7 @@ let compute (tree : Gatesim.Trace.tree) =
     end_paths = !end_paths;
     distinct_states = Hashtbl.length tree.Gatesim.Trace.registry;
     max_path_cycles = !max_depth;
-    x_density = Array.of_list (List.rev !densities);
+    x_density;
   }
 
 let density_stats t =

@@ -24,9 +24,9 @@ type t = {
           nets that are X at the end of that cycle *)
 }
 
-(** Walks the tree once, replaying deltas (with snapshot/restore at
-    forks) so the density series aligns index-for-index with the
-    flattened trace Algorithm 2 scores. *)
+(** Walks the tree once, replaying the X count through the deltas (with
+    save/restore at forks) so the density series aligns index-for-index
+    with the flattened trace Algorithm 2 scores. *)
 val compute : Gatesim.Trace.tree -> t
 
 (** [(mean, max)] of the density series; [(0., 0.)] when empty. *)

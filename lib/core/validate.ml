@@ -17,9 +17,7 @@ let net_set_of_tree tree =
       Array.iter
         (fun (cy : Gatesim.Trace.cycle) ->
           Array.iter
-            (fun d ->
-              let net, _, _ = Gatesim.Trace.unpack d in
-              Hashtbl.replace set net ())
+            (fun d -> Hashtbl.replace set (Gatesim.Trace.net d) ())
             cy.Gatesim.Trace.deltas;
           Array.iter (fun n -> Hashtbl.replace set n ()) cy.Gatesim.Trace.x_active)
         seg);
@@ -30,9 +28,7 @@ let net_set_of_run cycles =
   Array.iter
     (fun (cy : Gatesim.Trace.cycle) ->
       Array.iter
-        (fun d ->
-          let net, _, _ = Gatesim.Trace.unpack d in
-          Hashtbl.replace set net ())
+        (fun d -> Hashtbl.replace set (Gatesim.Trace.net d) ())
         cy.Gatesim.Trace.deltas)
     cycles;
   set

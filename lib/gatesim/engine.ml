@@ -115,6 +115,8 @@ type compiled = {
   c_fo_pos : int array;  (* program positions of combinational readers *)
   c_ncomb : int;  (* gates in this program *)
   c_pw : int;  (* words in the program-position dirty plane *)
+  c_pos : int array;  (* net id -> program position, -1 if not in it *)
+  c_comb : int array;  (* bit-plane over net ids: nets in the program *)
 }
 
 (* Per-netlist immutable compile results, memoized by physical identity:
@@ -158,10 +160,13 @@ type t = {
   port_drive : int array;
   mutable cycle : int;
   mutable mid : bool;  (* between begin_cycle and finish_cycle *)
-  (* Per-engine scratch for finish_cycle's delta/X-active collection;
-     not part of the observable state (excluded from snapshots). *)
+  (* Per-engine scratch for finish_cycle's delta/X-active collection
+     and its X-propagation candidates (a program-position plane, all
+     zero between cycles); not part of the observable state (excluded
+     from snapshots). *)
   scratch_deltas : int array;
   scratch_x : int array;
+  scratch_xprop : int array;
 }
 
 let netlist t = t.nl
@@ -242,8 +247,12 @@ let compile_program nl =
             cursor.(f) <- cursor.(f) + 1)
           g.Netlist.fanins)
     gates;
+  let comb = Array.make (Tri.Plane.words n) 0 in
+  Array.iter
+    (fun id -> comb.(id lsr 5) <- comb.(id lsr 5) lor (1 lsl (id land 31)))
+    topo;
   { c_prog = prog; c_fo_off = fo_off; c_fo_pos = fo_pos; c_ncomb = ncomb;
-    c_pw = pw }
+    c_pw = pw; c_pos = pos_of; c_comb = comb }
 
 let build_tables nl =
   let n = Netlist.gate_count nl in
@@ -350,6 +359,7 @@ let make nl ~ports ~mem tb =
     mid = false;
     scratch_deltas = Array.make n 0;
     scratch_x = Array.make n 0;
+    scratch_xprop = Array.make full.c_pw 0;
   }
 
 let create nl ~ports ~mem = make nl ~ports ~mem (tables_for nl)
@@ -557,34 +567,62 @@ let finish_cycle t =
      with a stable known select is only sensitive to the selected input
      (this sensitization matters: without it, every idle X register
      whose write-data bus toggles would be counted as potentially
-     switching each cycle, grossly inflating the bound). *)
+     switching each cycle, grossly inflating the bound).
+
+     Only X-valued, not yet active combinational nets can become active
+     here, and a net's activity bit is written only at its own gate's
+     position, so the candidate set can be taken word-wide up front: it
+     is scattered into a program-position plane and walked in ascending
+     position order, the same order (and so the same result) as a scan
+     over every gate, but visiting only the candidates: in a concrete
+     run, where few nets are X, a small fraction of the program. The
+     walk leaves the plane zeroed for the next cycle. *)
   let cur = tb.tb_full in
-  let prog = cur.c_prog in
-  let ncomb = cur.c_ncomb in
-  for k = 0 to ncomb - 1 do
-    let p = k lsl 2 in
-    let hd = Array.unsafe_get prog p in
-    let out = hd lsr 4 in
-    let ow = out lsr 5 and ob = out land 31 in
-    if
-      (Array.unsafe_get vx ow lsr ob) land 1 = 1
-      && (Array.unsafe_get av ow lsr ob) land 1 = 0
-    then begin
-      let f0 = Array.unsafe_get prog (p + 1) in
-      let any =
-        if hd land 15 < 6 then
-          bit_set av f0 || bit_set av (Array.unsafe_get prog (p + 2))
-        else
-          bit_set av f0
-          ||
-          let sel = pget vv vx f0 in
-          if sel = 0 then bit_set av (Array.unsafe_get prog (p + 2))
-          else if sel = 1 then bit_set av (Array.unsafe_get prog (p + 3))
+  let prog = cur.c_prog and pos = cur.c_pos and comb = cur.c_comb in
+  let xq = t.scratch_xprop in
+  for w = 0 to nw - 1 do
+    let c =
+      ref
+        (Array.unsafe_get vx w
+        land lnot (Array.unsafe_get av w)
+        land Array.unsafe_get comb w)
+    in
+    while !c <> 0 do
+      let k = Array.unsafe_get pos ((w lsl 5) lor Tri.Plane.ctz !c) in
+      c := !c land (!c - 1);
+      Array.unsafe_set xq (k lsr 5)
+        (Array.unsafe_get xq (k lsr 5) lor (1 lsl (k land 31)))
+    done
+  done;
+  for kw = 0 to cur.c_pw - 1 do
+    let ks = ref (Array.unsafe_get xq kw) in
+    if !ks <> 0 then begin
+      Array.unsafe_set xq kw 0;
+      while !ks <> 0 do
+        let p = ((kw lsl 5) lor Tri.Plane.ctz !ks) lsl 2 in
+        ks := !ks land (!ks - 1);
+        let hd = Array.unsafe_get prog p in
+        let f0 = Array.unsafe_get prog (p + 1) in
+        let any =
+          if hd land 15 < 6 then
+            bit_set av f0 || bit_set av (Array.unsafe_get prog (p + 2))
           else
-            bit_set av (Array.unsafe_get prog (p + 2))
-            || bit_set av (Array.unsafe_get prog (p + 3))
-      in
-      if any then Array.unsafe_set av ow (Array.unsafe_get av ow lor (1 lsl ob))
+            bit_set av f0
+            ||
+            let sel = pget vv vx f0 in
+            if sel = 0 then bit_set av (Array.unsafe_get prog (p + 2))
+            else if sel = 1 then bit_set av (Array.unsafe_get prog (p + 3))
+            else
+              bit_set av (Array.unsafe_get prog (p + 2))
+              || bit_set av (Array.unsafe_get prog (p + 3))
+        in
+        if any then begin
+          let out = hd lsr 4 in
+          let ow = out lsr 5 in
+          Array.unsafe_set av ow
+            (Array.unsafe_get av ow lor (1 lsl (out land 31)))
+        end
+      done
     end
   done;
   (* Collect deltas and X-active sets word by word into per-engine

@@ -9,7 +9,9 @@ type cycle = {
 (* Packed delta: bits [4..] net id, bits [2..3] old trit, bits [0..1]
    new trit. *)
 let pack ~net ~old_v ~new_v = (net lsl 4) lor (old_v lsl 2) lor new_v
-let unpack p = (p lsr 4, (p lsr 2) land 3, p land 3)
+let[@inline] net p = p lsr 4
+let[@inline] old_v p = (p lsr 2) land 3
+let[@inline] new_v p = p land 3
 
 let activity c = Array.length c.deltas + Array.length c.x_active
 

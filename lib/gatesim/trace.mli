@@ -16,7 +16,12 @@ type cycle = {
 }
 
 val pack : net:int -> old_v:int -> new_v:int -> int
-val unpack : int -> int * int * int
+
+(** The fields of a packed delta, read without allocating. *)
+
+val net : int -> int
+val old_v : int -> int
+val new_v : int -> int
 
 (** Number of active nets in the cycle (changed + X-active). *)
 val activity : cycle -> int

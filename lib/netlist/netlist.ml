@@ -80,8 +80,7 @@ module Builder = struct
   }
 
   type t = {
-    mutable rev_gates : pending list;
-    mutable by_id : pending array;
+    mutable by_id : pending array;  (* grown by doubling; [count] used *)
     mutable count : int;
     mutable modules : string list;  (* reversed *)
     mutable module_count : int;
@@ -91,7 +90,6 @@ module Builder = struct
 
   let create () =
     {
-      rev_gates = [];
       by_id = [||];
       count = 0;
       modules = [ "top" ];
@@ -114,8 +112,13 @@ module Builder = struct
       b.module_count <- b.module_count + 1
 
   let push b p =
-    b.rev_gates <- p :: b.rev_gates;
     let id = b.count in
+    if id = Array.length b.by_id then begin
+      let grown = Array.make (max 256 (2 * id)) p in
+      Array.blit b.by_id 0 grown 0 id;
+      b.by_id <- grown
+    end;
+    b.by_id.(id) <- p;
     b.count <- id + 1;
     id
 
@@ -144,12 +147,7 @@ module Builder = struct
   let add_dff b = add_raw b Dff [| -1 |]
   let add_dffe b = add_raw b Dffe [| -1; -1 |]
 
-  let finalize_ids b =
-    if Array.length b.by_id <> b.count then
-      b.by_id <- Array.of_list (List.rev b.rev_gates)
-
   let set_dff_input b dff d =
-    finalize_ids b;
     if dff < 0 || dff >= b.count then invalid_arg "set_dff_input: bad dff id";
     let p = b.by_id.(dff) in
     (match p.p_cell with
@@ -158,7 +156,6 @@ module Builder = struct
     p.p_fanins <- [| d |]
 
   let set_dffe_inputs b dff ~en ~d =
-    finalize_ids b;
     if dff < 0 || dff >= b.count then invalid_arg "set_dffe_inputs: bad dff id";
     let p = b.by_id.(dff) in
     (match p.p_cell with
@@ -171,7 +168,6 @@ module Builder = struct
     b.names <- (name, id) :: b.names
 
   let freeze b =
-    finalize_ids b;
     let n = b.count in
     let gates =
       Array.mapi
@@ -184,7 +180,7 @@ module Builder = struct
                      id))
             p.p_fanins;
           { id; cell = p.p_cell; fanins = p.p_fanins; module_id = p.p_module })
-        b.by_id
+        (Array.sub b.by_id 0 n)
     in
     let module_names =
       let arr = Array.of_list (List.rev b.modules) in

@@ -77,10 +77,12 @@ let netlist t = t.nl
 let period t = t.period_
 let base_power t = t.base
 
-(* Energy of one recorded delta under each mode. *)
-let delta_energy t ~max_mode packed =
-  let net, old_v, new_v = Gatesim.Trace.unpack packed in
-  match old_v, new_v with
+(* Energy of one recorded delta under each mode. Inlined into the
+   summing loops below, so neither the delta's fields nor the energy are
+   boxed. *)
+let[@inline] delta_energy t ~max_mode packed =
+  let net = Gatesim.Trace.net packed in
+  match Gatesim.Trace.old_v packed, Gatesim.Trace.new_v packed with
   | 0, 1 -> t.rise.(net)
   | 1, 0 -> t.fall.(net)
   | 0, 2 | 2, 1 ->
@@ -93,12 +95,17 @@ let delta_energy t ~max_mode packed =
   | _ -> if max_mode then t.emax.(net) else 0.
 
 let cycle_energy t ~max_mode (cy : Gatesim.Trace.cycle) =
+  let deltas = cy.Gatesim.Trace.deltas in
   let e = ref 0. in
-  Array.iter (fun d -> e := !e +. delta_energy t ~max_mode d) cy.Gatesim.Trace.deltas;
-  if max_mode then
-    Array.iter
-      (fun net -> e := !e +. t.emax.(net))
-      cy.Gatesim.Trace.x_active;
+  for k = 0 to Array.length deltas - 1 do
+    e := !e +. delta_energy t ~max_mode (Array.unsafe_get deltas k)
+  done;
+  if max_mode then begin
+    let xa = cy.Gatesim.Trace.x_active in
+    for k = 0 to Array.length xa - 1 do
+      e := !e +. t.emax.(Array.unsafe_get xa k)
+    done
+  end;
   !e
 
 let cycle_power_observed t cy = t.base +. (cycle_energy t ~max_mode:false cy /. t.period_)
@@ -135,9 +142,7 @@ let module_breakdown t ~mode (cy : Gatesim.Trace.cycle) =
     acc.(m) <- acc.(m) +. (e /. t.period_)
   in
   Array.iter
-    (fun d ->
-      let net, _, _ = Gatesim.Trace.unpack d in
-      add net (delta_energy t ~max_mode d))
+    (fun d -> add (Gatesim.Trace.net d) (delta_energy t ~max_mode d))
     cy.Gatesim.Trace.deltas;
   if max_mode then
     Array.iter (fun net -> add net t.emax.(net)) cy.Gatesim.Trace.x_active;
@@ -180,9 +185,7 @@ let class_breakdown ?folded t ~mode (cy : Gatesim.Trace.cycle) =
       (Option.value (Hashtbl.find_opt acc k) ~default:0. +. (e /. t.period_))
   in
   Array.iter
-    (fun d ->
-      let net, _, _ = Gatesim.Trace.unpack d in
-      add net (delta_energy t ~max_mode d))
+    (fun d -> add (Gatesim.Trace.net d) (delta_energy t ~max_mode d))
     cy.Gatesim.Trace.deltas;
   if max_mode then
     Array.iter (fun net -> add net t.emax.(net)) cy.Gatesim.Trace.x_active;

@@ -66,11 +66,7 @@ let fig_1_5 ctx =
       let m = Netlist.module_of nl net in
       Hashtbl.replace tbl m (1 + Option.value ~default:0 (Hashtbl.find_opt tbl m))
     in
-    Array.iter
-      (fun d ->
-        let net, _, _ = Gatesim.Trace.unpack d in
-        bump net)
-      cy.Gatesim.Trace.deltas;
+    Array.iter (fun d -> bump (Gatesim.Trace.net d)) cy.Gatesim.Trace.deltas;
     Array.iter bump cy.Gatesim.Trace.x_active;
     let total = Gatesim.Trace.activity cy in
     (bname b, total, tbl)

@@ -48,6 +48,7 @@ type t = {
   mutable executors : unit Domain.t list;
   mutable readers : Thread.t list;
   stopping : bool Atomic.t;
+  own_sink : Telemetry.t option;  (* the sink [start] installed, if any *)
 }
 
 let c_requests = Telemetry.Counter.make "serve.requests"
@@ -419,6 +420,15 @@ let rec executor_loop sched =
    252-256 MB. *)
 let executor_minor_heap_words = 1 lsl 20
 
+(* Uninstall the sink [start] installed, unless another has replaced it
+   since. *)
+let remove_sink = function
+  | Some s -> (
+    match Telemetry.ambient () with
+    | Some cur when cur == s -> Telemetry.set_ambient None
+    | Some _ | None -> ())
+  | None -> ()
+
 let start config =
   (* A client vanishing mid-write must not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -426,9 +436,15 @@ let start config =
   (* A long-lived daemon needs counters/histograms live for Stats and
      Watch, but must not accumulate span events forever: install an
      event-dropping sink unless the operator already installed one
-     (e.g. --trace, which wants the events). *)
-  if not (Telemetry.enabled ()) then
-    Telemetry.set_ambient (Some (Telemetry.create ~retain_events:false ()));
+     (e.g. --trace, which wants the events). [stop] removes it again. *)
+  let own_sink =
+    if Telemetry.enabled () then None
+    else begin
+      let s = Telemetry.create ~retain_events:false () in
+      Telemetry.set_ambient (Some s);
+      Some s
+    end
+  in
   Telemetry.Gauge.set g_workers (max 1 config.workers);
   Telemetry.Gauge.set g_queue_capacity (max 1 config.queue_capacity);
   let open_alog () =
@@ -440,11 +456,14 @@ let start config =
       | Error m -> Error ("cannot open access log: " ^ m))
   in
   match open_alog () with
-  | Error _ as e -> e
+  | Error _ as e ->
+    remove_sink own_sink;
+    e
   | Ok alog -> (
     match Addr.listen config.listen with
     | Error _ as e ->
       Option.iter Accesslog.close alog;
+      remove_sink own_sink;
       e
     | Ok listen_fd ->
       let t =
@@ -460,6 +479,7 @@ let start config =
           executors = [];
           readers = [];
           stopping = Atomic.make false;
+          own_sink;
         }
       in
       (* Each executor runs on a domain of its own, so a request never
@@ -512,5 +532,6 @@ let stop t =
     t.readers <- [];
     Mutex.unlock t.conns_m;
     List.iter Thread.join readers;
-    Option.iter Accesslog.close t.alog
+    Option.iter Accesslog.close t.alog;
+    remove_sink t.own_sink
   end

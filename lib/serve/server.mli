@@ -39,7 +39,8 @@
 
     [start] installs an ambient {!Telemetry} sink (with
     [retain_events:false], so span events are dropped and memory stays
-    bounded) unless one is already installed. Counters:
+    bounded) unless one is already installed; {!stop} removes the sink
+    [start] installed, so [Telemetry.enabled ()] is what it was before. Counters:
     [serve.requests] (scheduler work only), [serve.admin_requests],
     [serve.rejected], [serve.connections], [serve.protocol_errors],
     [serve.traces_sampled], [serve.tier.<tier>], and the two failure
@@ -106,6 +107,6 @@ val addr : t -> Addr.t
 
 (** Graceful shutdown: stop accepting, reject queued work, wake every
     blocked reader (ending any Watch streams), join every thread and
-    executor domain, close the access log, unlink the unix socket file.
-    Idempotent. *)
+    executor domain, close the access log, unlink the unix socket file,
+    and remove the telemetry sink {!start} installed. Idempotent. *)
 val stop : t -> unit

@@ -464,6 +464,86 @@ let test_bench_bounds () =
         pr.Core.Peak_power.trace pe.Core.Peak_power.trace)
     [ "tea8"; "mult" ]
 
+(* Whole concrete runs, as profiling and the daemon's run_concrete do
+   them: zeroed RAM, known inputs, so only a few nets are ever X and the
+   engine's X-propagation visits a handful of candidates per cycle. Both
+   evaluators run the reset protocol and then the whole program in
+   lockstep; every cycle record must agree, and the production path
+   ([Core.Analyze.run_concrete]) must yield the power trace of the
+   reference's cycles, bit for bit. *)
+let test_concrete_lockstep () =
+  let cpu = Tsupport.the_cpu () in
+  let pa = Core.Analyze.poweran_for cpu in
+  List.iter
+    (fun (name, seed) ->
+      let b = Benchprogs.Bench.find name in
+      let img = Benchprogs.Bench.assemble b in
+      let inputs =
+        [ (Benchprogs.Bench.input_base, b.Benchprogs.Bench.gen_inputs ~seed) ]
+      in
+      let mem () =
+        let m = Cpu.mem_of_image img in
+        Cpu.zero_ram m;
+        List.iter
+          (fun (addr, ws) ->
+            List.iteri (fun k w -> Gatesim.Mem.poke m (addr + (2 * k)) w) ws)
+          inputs;
+        m
+      in
+      let e = Gatesim.Engine.create cpu.Cpu.netlist ~ports:cpu.Cpu.ports ~mem:(mem ()) in
+      let r = Gatesim.Refsim.create cpu.Cpu.netlist ~ports:cpu.Cpu.ports ~mem:(mem ()) in
+      let zeros = Array.make 16 Tri.Zero in
+      Gatesim.Engine.set_port_in e zeros;
+      Gatesim.Refsim.set_port_in r zeros;
+      let msg k = Printf.sprintf "%s seed %d cycle %d" name seed k in
+      let step_both k =
+        let ce = Gatesim.Engine.step e and cr = Gatesim.Refsim.step r in
+        check_cycle (msg k) ce cr;
+        cr
+      in
+      (* Sym.do_reset on both sides. *)
+      Gatesim.Engine.set_reset e Tri.One;
+      Gatesim.Refsim.set_reset r Tri.One;
+      for k = 1 to 2 do
+        ignore (step_both (-k))
+      done;
+      Gatesim.Engine.set_reset e Tri.Zero;
+      Gatesim.Refsim.set_reset r Tri.Zero;
+      for k = 3 to 5 do
+        ignore (step_both (-k))
+      done;
+      let is_end = Cpu.is_end_cycle ~halt_addr:img.Isa.Asm.halt_addr in
+      let nets = Netlist.gate_count cpu.Cpu.netlist in
+      let max_x = ref 0 in
+      let rec go k acc =
+        if k > 200_000 then Alcotest.fail (msg k ^ ": no halt");
+        let cr = step_both k in
+        let xs =
+          Array.fold_left
+            (fun n v -> if v = Tri.I.x then n + 1 else n)
+            0
+            (Gatesim.Engine.values_snapshot e)
+        in
+        if xs > !max_x then max_x := xs;
+        if is_end cr then List.rev (cr :: acc) else go (k + 1) (cr :: acc)
+      in
+      let ref_cycles = Array.of_list (go 0 []) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s seed %d: X is sparse (%d of %d nets)" name seed
+           !max_x nets)
+        true
+        (!max_x * 4 < nets);
+      let cycles, trace = Core.Analyze.run_concrete pa cpu img ~inputs in
+      Alcotest.(check int)
+        (Printf.sprintf "%s seed %d: production run length" name seed)
+        (Array.length ref_cycles) (Array.length cycles);
+      Alcotest.(check (array (float 0.0)))
+        (Printf.sprintf "%s seed %d: power trace" name seed)
+        (Poweran.trace_power pa ~mode:`Observed ref_cycles)
+        trace)
+    [ ("tea8", 1); ("tea8", 2); ("div", 1); ("div", 2); ("autoCorr", 1);
+      ("autoCorr", 2) ]
+
 (* The production path: Sym.run + full analysis is deterministic across
    runs of the compiled kernel (exercises COW snapshots and the
    incremental digest under real fork/restore traffic). *)
@@ -853,6 +933,8 @@ let () =
           Alcotest.test_case "polling dedup" `Quick test_polling_dual;
           Alcotest.test_case "bench bounds" `Slow test_bench_bounds;
           Alcotest.test_case "sym deterministic" `Quick test_sym_deterministic;
+          Alcotest.test_case "concrete runs lockstep" `Quick
+            test_concrete_lockstep;
         ] );
       ( "specialization",
         [

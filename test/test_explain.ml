@@ -54,6 +54,38 @@ let test_ejson_parse () =
         (Explain.Ejson.parse_opt bad = None))
     [ "{"; "[1,]"; {|{"a":}|}; "tru"; {|"unterminated|}; "1 2" ]
 
+(* Number text is produced by the runtime's float formatter directly;
+   it must be byte-identical to the [Printf] formulation on edge values
+   and on random bit patterns. *)
+let test_ejson_numbers () =
+  let reference f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else
+      let s = Printf.sprintf "%.12g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  in
+  let check f =
+    Alcotest.(check string)
+      (Printf.sprintf "%h" f) (reference f)
+      (Explain.Ejson.to_string (Explain.Ejson.Num f))
+  in
+  List.iter check
+    [ 0.; -0.; 1.; -1.; 42.; 1e15; -1e15; 1e15 -. 1.; -.(1e15 -. 1.);
+      1e15 +. 2.; 999999999999999.5; 4503599627370496.; 9007199254740993.;
+      Float.min_float; -.Float.min_float; 5e-324; -5e-324;
+      Float.pred Float.min_float; Float.max_float; -.Float.max_float;
+      Float.infinity; Float.neg_infinity; 0.1; 1. /. 3.; 2.5e-3; 1e-300;
+      123456789012.5; 0.000123456789012345; Float.epsilon;
+      Float.succ 1.; Float.pred 1e15 ];
+  let rng = Random.State.make [| 0xe150 |] in
+  for _ = 1 to 20_000 do
+    let f = Int64.float_of_bits (Random.State.bits64 rng) in
+    if not (Float.is_nan f) then check f;
+    (* and values in the ranges reports actually carry *)
+    check (Random.State.float rng 1e-2);
+    check (Float.round (Random.State.float rng 2e15) -. 1e15)
+  done
+
 (* ---------------- a small analyzed program ---------------- *)
 
 let analysis =
@@ -126,6 +158,58 @@ let test_treestat_invariants () =
   let mean, mx = Core.Treestat.density_stats ts in
   Alcotest.(check bool) "mean <= max" true (mean <= mx);
   Alcotest.(check bool) "input X spreads somewhere" true (mx > 0.)
+
+(* The X-density series against a brute-force recount on a fork-heavy
+   kernel: replay every net's value in [Trace.flatten] order from
+   [initial], restoring the fork-point values before each taken child,
+   and count the X nets over the whole netlist after every cycle. The
+   replay also checks that each delta's recorded old value is the
+   replayed one, so the replay itself is faithful. *)
+let test_treestat_density_recount () =
+  let p =
+    match Xbound.bench "tHold" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail (Xbound.Error.to_string e)
+  in
+  let raw =
+    match Xbound.analyze ~ctx:(Xbound.Ctx.create ~jobs:1 ()) p with
+    | Ok a -> Option.get (Xbound.exact_detail a)
+    | Error e -> Alcotest.fail (Xbound.Error.to_string e)
+  in
+  let tree = raw.Core.Analyze.tree in
+  let ts = Core.Treestat.compute tree in
+  Alcotest.(check bool) "fork-heavy" true (ts.Core.Treestat.fork_nodes >= 10);
+  let values = Array.copy tree.Gatesim.Trace.initial in
+  let nets = Array.length values in
+  let series = ref [] in
+  let apply (cy : Gatesim.Trace.cycle) =
+    Array.iter
+      (fun d ->
+        let net = Gatesim.Trace.net d in
+        Alcotest.(check int) "delta old value = replayed value"
+          values.(net) (Gatesim.Trace.old_v d);
+        values.(net) <- Gatesim.Trace.new_v d)
+      cy.Gatesim.Trace.deltas;
+    let xs = Array.fold_left (fun n v -> if v = Tri.I.x then n + 1 else n) 0 values in
+    series := (float_of_int xs /. float_of_int nets) :: !series
+  in
+  let rec go = function
+    | Gatesim.Trace.Run { cycles; next } ->
+      Array.iter apply cycles;
+      go next
+    | Gatesim.Trace.Fork { not_taken; taken } ->
+      let at_fork = Array.copy values in
+      go not_taken;
+      Array.blit at_fork 0 values 0 nets;
+      go taken
+    | Gatesim.Trace.End_path | Gatesim.Trace.Seen _ -> ()
+  in
+  go tree.Gatesim.Trace.root;
+  let recount = Array.of_list (List.rev !series) in
+  Alcotest.(check int) "aligned with the flattened trace"
+    (Array.length (Gatesim.Trace.flatten tree)) (Array.length recount);
+  Alcotest.(check (array (float 0.))) "x_density = recount" recount
+    ts.Core.Treestat.x_density
 
 (* ---------------- Report ---------------- *)
 
@@ -390,9 +474,14 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_ejson_roundtrip;
           Alcotest.test_case "parse" `Quick test_ejson_parse;
+          Alcotest.test_case "numbers match Printf" `Quick test_ejson_numbers;
         ] );
       ( "treestat",
-        [ Alcotest.test_case "invariants" `Quick test_treestat_invariants ] );
+        [
+          Alcotest.test_case "invariants" `Quick test_treestat_invariants;
+          Alcotest.test_case "density recount" `Quick
+            test_treestat_density_recount;
+        ] );
       ( "report",
         [
           Alcotest.test_case "attribution sums" `Quick test_attribution_sums;

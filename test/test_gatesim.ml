@@ -93,9 +93,7 @@ let active_nets_of_tree tree =
       Array.iter
         (fun cy ->
           Array.iter
-            (fun d ->
-              let net, _, _ = Gatesim.Trace.unpack d in
-              Hashtbl.replace set net ())
+            (fun d -> Hashtbl.replace set (Gatesim.Trace.net d) ())
             cy.Gatesim.Trace.deltas;
           Array.iter (fun n -> Hashtbl.replace set n ()) cy.Gatesim.Trace.x_active)
         seg);
@@ -106,9 +104,7 @@ let toggled_nets_of_run cycles =
   Array.iter
     (fun cy ->
       Array.iter
-        (fun d ->
-          let net, _, _ = Gatesim.Trace.unpack d in
-          Hashtbl.replace set net ())
+        (fun d -> Hashtbl.replace set (Gatesim.Trace.net d) ())
         cy.Gatesim.Trace.deltas)
     cycles;
   set

@@ -541,6 +541,21 @@ let with_client addr f =
   | Error m -> Alcotest.fail m
   | Ok c -> Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
 
+(* [stop] removes the telemetry sink [start] installed, so a process
+   embedding the server is back to untraced once it stops; a sink the
+   embedder installed itself stays. *)
+let test_serve_stop_removes_sink () =
+  let before = Telemetry.ambient () in
+  Fun.protect ~finally:(fun () -> Telemetry.set_ambient before) @@ fun () ->
+  Telemetry.set_ambient None;
+  with_server (fun _ -> checkb "start installs a sink" true (Telemetry.enabled ()));
+  checkb "stop removes it" false (Telemetry.enabled ());
+  let mine = Telemetry.create () in
+  Telemetry.set_ambient (Some mine);
+  with_server (fun _ -> ());
+  checkb "the embedder's sink stays" true
+    (match Telemetry.ambient () with Some s -> s == mine | None -> false)
+
 let test_serve_basic () =
   with_server @@ fun addr ->
   with_client addr @@ fun c ->
@@ -1148,6 +1163,8 @@ let () =
           Alcotest.test_case "single flight" `Quick test_serve_single_flight;
           Alcotest.test_case "admission reject" `Quick test_serve_admission_reject;
           Alcotest.test_case "byte identical" `Quick test_serve_byte_identical;
+          Alcotest.test_case "stop removes its sink" `Quick
+            test_serve_stop_removes_sink;
         ] );
       ( "observability",
         [
