@@ -82,7 +82,8 @@ let () =
      below it *)
   List.iter
     (fun (label, inputs) ->
-      let _, trace = Core.Analyze.run_concrete pa cpu image
+      let trace =
+        Core.Analyze.run_concrete pa cpu image
           ~inputs:[ (Benchprogs.Bench.input_base, inputs) ]
       in
       let peak, _ = Poweran.peak_of trace in

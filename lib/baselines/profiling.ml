@@ -28,13 +28,13 @@ let run ?(seeds = default_seeds) pa cpu (b : Benchprogs.Bench.t) =
     Parallel.map_list_auto
       (fun seed ->
         let inputs = b.Benchprogs.Bench.gen_inputs ~seed in
-        let cycles, trace =
+        let trace =
           Core.Analyze.run_concrete pa cpu img
             ~inputs:[ (Benchprogs.Bench.input_base, inputs) ]
         in
         let peak, _ = Poweran.peak_of trace in
         let energy = Array.fold_left ( +. ) 0. trace *. Poweran.period pa in
-        (peak, energy /. float_of_int (Array.length cycles)))
+        (peak, energy /. float_of_int (Array.length trace)))
       seeds
   in
   let peaks = List.map fst results and npes = List.map snd results in

@@ -179,8 +179,7 @@ let evaluate pa cpu config genome =
           ];
       }
   in
-  let cycles, trace = Core.Analyze.run_concrete pa cpu img ~inputs:[] in
-  ignore cycles;
+  let trace = Core.Analyze.run_concrete pa cpu img ~inputs:[] in
   let peak, _ = Poweran.peak_of trace in
   (* average power over the steady-state tail (the register/scratch
      initialization prologue would otherwise dilute the average) *)

@@ -195,9 +195,10 @@ let run_fragment ?pool ~is_end ~max_cycles_per_path ~max_paths cpu
   in
   Gatesim.Sym.run ?pool e sym_config
 
-(* Concrete (input-based) execution for profiling and validation. *)
-let run_concrete pa cpu (image : Isa.Asm.image) ~inputs =
-  Telemetry.span "concrete" @@ fun () ->
+(* Concrete (input-based) execution for profiling and validation: both
+   variants run one engine through [Sym]'s concrete loop, with one
+   cycle limit and one end test. *)
+let concrete_engine cpu (image : Isa.Asm.image) ~inputs =
   let e = engine_for cpu image ~symbolic:false in
   List.iter
     (fun (addr, ws) ->
@@ -205,13 +206,37 @@ let run_concrete pa cpu (image : Isa.Asm.image) ~inputs =
         (fun k w -> Gatesim.Mem.poke (Gatesim.Engine.mem e) (addr + (2 * k)) w)
         ws)
     inputs;
-  let cycles, _initial =
-    Gatesim.Sym.run_concrete e
-      ~is_end:(Cpu.is_end_cycle ~halt_addr:image.Isa.Asm.halt_addr)
-      ~max_cycles:200_000
-  in
-  let trace = Poweran.trace_power pa ~mode:`Observed cycles in
-  (cycles, trace)
+  e
+
+let concrete_limit = 200_000
+let concrete_end (image : Isa.Asm.image) =
+  Cpu.is_end ~halt_addr:image.Isa.Asm.halt_addr
+
+(* Each cycle's observed power is summed straight from the engine's
+   scratch deltas, so the run allocates its trace and no cycle
+   records. *)
+let run_concrete pa cpu image ~inputs =
+  Telemetry.span "concrete" @@ fun () ->
+  let e = concrete_engine cpu image ~inputs in
+  let trace = ref (Array.make 1024 0.) and n = ref 0 in
+  Gatesim.Sym.concrete e ~is_end:(concrete_end image) ~max_cycles:concrete_limit
+    (fun () ->
+      if !n = Array.length !trace then begin
+        let bigger = Array.make (2 * !n) 0. in
+        Array.blit !trace 0 bigger 0 !n;
+        trace := bigger
+      end;
+      Array.unsafe_set !trace !n
+        (Poweran.observed_power pa (Gatesim.Engine.last_deltas e)
+           (Gatesim.Engine.last_delta_count e));
+      incr n);
+  Array.sub !trace 0 !n
+
+let run_concrete_records cpu image ~inputs =
+  Telemetry.span "concrete" @@ fun () ->
+  Gatesim.Sym.run_concrete
+    (concrete_engine cpu image ~inputs)
+    ~is_end:(concrete_end image) ~max_cycles:concrete_limit
 
 let cois ?(top = 4) ?(min_gap = 5) pa t =
   Coi.find ~image:t.image pa ~flattened:t.flattened ~trace:t.power_trace ~top

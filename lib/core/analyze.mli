@@ -76,15 +76,28 @@ val run_fragment :
   Gatesim.Trace.tree * Gatesim.Sym.stats
 
 (** [run_concrete pa cpu image ~inputs] — a concrete (input-based)
-    execution for profiling and validation; [inputs] are
-    [(address, words)] pokes into RAM. Returns the cycle records and the
-    observed per-cycle power trace. *)
+    execution for profiling; [inputs] are [(address, words)] pokes into
+    RAM over a zeroed RAM. Returns the observed per-cycle power trace
+    (its length is the cycle count), summed from the engine's scratch
+    deltas: no cycle record is built. Raises [Failure] if an X reaches
+    the branch decision and {!Gatesim.Sym.Path_limit} past 200 000
+    cycles. *)
 val run_concrete :
   Poweran.t ->
   Cpu.t ->
   Isa.Asm.image ->
   inputs:(int * int list) list ->
-  Gatesim.Trace.cycle array * float array
+  float array
+
+(** [run_concrete_records cpu image ~inputs] — the same run keeping
+    every cycle record, for validation against the symbolic tree;
+    [Poweran.trace_power ~mode:`Observed] over them is {!run_concrete}'s
+    trace, bit for bit. *)
+val run_concrete_records :
+  Cpu.t ->
+  Isa.Asm.image ->
+  inputs:(int * int list) list ->
+  Gatesim.Trace.cycle array
 
 (** Cycles of interest of an analysis (Section 3.5). *)
 val cois : ?top:int -> ?min_gap:int -> Poweran.t -> t -> Coi.t list

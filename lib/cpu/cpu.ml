@@ -49,6 +49,94 @@ type t = {
   bus_nets : int array;
 }
 
+(* [Gatesim.Engine.begin_cycle] reads the memory once, at the address
+   and read enable its first settle gives, before the read data are
+   driven; that is exact only if read data cannot reach the address or
+   the read enable within a cycle. Structurally they can: the fetch
+   bypass decodes the read-data bus during FETCH, and that decode feeds
+   the operand-address muxes. The path is never sensitized (in FETCH the
+   address mux selects the PC; in every other state the decoder reads
+   the IR), so the check follows read-data influence through one cycle's
+   ternary values instead of the bare fan-in cone: every source is X
+   except the FSM state (each defined state in turn, reset low) or the
+   reset (high, state X). A net is influenced when it is X and an
+   influenced fanin can reach it: any fanin of a logic gate, the
+   selected input of a mux with a known select. The check fails closed:
+   it raises when the read enable is influenced, or the address is
+   while the read enable is not known 0. *)
+let check_memory_ports nl (p : Gatesim.Engine.ports) =
+  let roots = Array.append p.mem_addr [| p.mem_ren |] in
+  let cone = Netlist.fanin_cone nl roots in
+  if Array.exists (fun id -> cone.(id)) p.mem_rdata then begin
+    let n = Netlist.gate_count nl in
+    let gates = nl.Netlist.gates in
+    let x = Tri.I.x in
+    let v0 = Array.make n x in
+    Array.iter
+      (fun (g : Netlist.gate) ->
+        match g.Netlist.cell with
+        | Netlist.Const k -> v0.(g.Netlist.id) <- Tri.to_int k
+        | _ -> ())
+      gates;
+    let order =
+      List.filter (fun id -> cone.(id)) (Array.to_list nl.Netlist.topo)
+    in
+    let settle ~reset ~state =
+      let v = Array.copy v0 and inf = Array.make n false in
+      v.(p.reset) <- reset;
+      Option.iter
+        (fun s -> Array.iteri (fun i id -> v.(id) <- (s lsr i) land 1) p.state)
+        state;
+      Array.iter (fun id -> inf.(id) <- true) p.mem_rdata;
+      List.iter
+        (fun id ->
+          let f = gates.(id).Netlist.fanins in
+          let a = v.(f.(0)) and ia = inf.(f.(0)) in
+          let out, reach =
+            match gates.(id).Netlist.cell with
+            | Netlist.Buf -> (a, ia)
+            | Netlist.Inv -> (Tri.I.lnot a, ia)
+            | Netlist.Mux2 ->
+              let b = v.(f.(1)) and c = v.(f.(2)) in
+              let ib = inf.(f.(1)) and ic = inf.(f.(2)) in
+              ( Tri.I.mux a b c,
+                ia || (if a = 0 then ib else if a = 1 then ic else ib || ic) )
+            | cell ->
+              let b = v.(f.(1)) in
+              let op =
+                match cell with
+                | Netlist.And2 -> Tri.I.land_
+                | Netlist.Or2 -> Tri.I.lor_
+                | Netlist.Nand2 -> Tri.I.lnand
+                | Netlist.Nor2 -> Tri.I.lnor
+                | Netlist.Xor2 -> Tri.I.lxor_
+                | _ -> Tri.I.lxnor
+              in
+              (op a b, ia || inf.(f.(1)))
+          in
+          v.(id) <- out;
+          inf.(id) <- reach && out = x)
+        order;
+      let fail what =
+        failwith
+          (Printf.sprintf
+             "Cpu.check_memory_ports: read data reach the %s combinationally \
+              (%s)"
+             what
+             (match state with
+             | Some s -> "state " ^ state_name s
+             | None -> "reset"))
+      in
+      if inf.(p.mem_ren) then fail "read enable";
+      if v.(p.mem_ren) <> 0 && Array.exists (fun id -> inf.(id)) p.mem_addr then
+        fail "address"
+    in
+    settle ~reset:1 ~state:None;
+    for s = 0 to n_states - 1 do
+      settle ~reset:0 ~state:(Some s)
+    done
+  end
+
 let build () =
   let c = Rtl.create () in
   let open Rtl in
@@ -694,22 +782,25 @@ let build () =
     Array.init 16 (fun i ->
         if i = 0 then pcq else if i = 2 then srq else rf_q i)
   in
+  let ports =
+    {
+      Gatesim.Engine.reset;
+      port_in;
+      mem_addr = mab;
+      mem_rdata = ext_rdata;
+      mem_wdata = wdata;
+      mem_ren = ext_ren;
+      mem_wen = ext_wen;
+      pc = pcq;
+      state = stq;
+      ir = irq;
+      fork_net = Some jump_sel;
+    }
+  in
+  check_memory_ports netlist ports;
   {
     netlist;
-    ports =
-      {
-        Gatesim.Engine.reset;
-        port_in;
-        mem_addr = mab;
-        mem_rdata = ext_rdata;
-        mem_wdata = wdata;
-        mem_ren = ext_ren;
-        mem_wen = ext_wen;
-        pc = pcq;
-        state = stq;
-        ir = irq;
-        fork_net = Some jump_sel;
-      };
+    ports;
     reg_nets;
     sr_nets = srq;
     state_nets = stq;
@@ -717,14 +808,12 @@ let build () =
     bus_nets = Array.concat [ mab; ext_rdata; wdata ];
   }
 
+let is_end ~halt_addr ~state ~pc =
+  (match Tri.Word.to_int state with Some s -> s = st_fetch | None -> false)
+  && match Tri.Word.to_int pc with Some p -> p = halt_addr | None -> false
+
 let is_end_cycle ~halt_addr (cy : Gatesim.Trace.cycle) =
-  (match Tri.Word.to_int cy.Gatesim.Trace.state with
-  | Some s -> s = st_fetch
-  | None -> false)
-  &&
-  match Tri.Word.to_int cy.Gatesim.Trace.pc with
-  | Some p -> p = halt_addr
-  | None -> false
+  is_end ~halt_addr ~state:cy.Gatesim.Trace.state ~pc:cy.Gatesim.Trace.pc
 
 let mem_of_image (img : Isa.Asm.image) =
   Gatesim.Mem.create ~rom:img.Isa.Asm.words ~ram_base:Isa.Memmap.ram_base

@@ -45,9 +45,23 @@ val state_name : int -> string
     gives identical netlists. *)
 val build : unit -> t
 
-(** [is_end_cycle ~halt_addr cycle] — the standard end-of-application
-    predicate: fetching the halt self-jump. *)
+(** [is_end ~halt_addr ~state ~pc] — the standard end-of-application
+    predicate over the sampled state and PC probes: fetching the halt
+    self-jump. *)
+val is_end : halt_addr:int -> state:Tri.Word.t -> pc:Tri.Word.t -> bool
+
+(** [is_end_cycle ~halt_addr cycle] — {!is_end} on a cycle record's
+    probes. *)
 val is_end_cycle : halt_addr:int -> Gatesim.Trace.cycle -> bool
+
+(** [check_memory_ports nl ports] raises [Failure] when the memory's
+    read data can reach its address or read enable within one cycle,
+    which {!Gatesim.Engine.begin_cycle}'s single read assumes they
+    cannot. Read-data influence is followed through the ternary values
+    of a cycle in each defined FSM state ([ports.state] bus, reset low)
+    and under reset (state X), so a structural path that no state
+    sensitizes passes. {!build} calls it. *)
+val check_memory_ports : Netlist.t -> Gatesim.Engine.ports -> unit
 
 (** [mem_of_image image] — a {!Gatesim.Mem.t} loaded with an assembled
     program (ROM + reset vector), RAM all X. *)

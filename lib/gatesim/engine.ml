@@ -101,6 +101,12 @@ let[@inline] pset vv vx i code =
   Array.unsafe_set vx w
     ((Array.unsafe_get vx w land m) lor ((code lsr 1) lsl b))
 
+(* The byte mirror: one trit code per net, kept equal to the planes, so
+   a scalar read is one byte load instead of two plane words and
+   shifts. *)
+let[@inline] bget vb i = Char.code (Bytes.unsafe_get vb i)
+let[@inline] bset vb i code = Bytes.unsafe_set vb i (Char.unsafe_chr code)
+
 let[@inline] bit_set pl i =
   (Array.unsafe_get pl (i lsr 5) lsr (i land 31)) land 1 = 1
 
@@ -117,6 +123,7 @@ type compiled = {
   c_pw : int;  (* words in the program-position dirty plane *)
   c_pos : int array;  (* net id -> program position, -1 if not in it *)
   c_comb : int array;  (* bit-plane over net ids: nets in the program *)
+  c_all : int array;  (* program-position plane with every position set *)
 }
 
 (* Per-netlist immutable compile results, memoized by physical identity:
@@ -136,6 +143,7 @@ type tables = {
   tb_nw : int;  (* words per net-id plane *)
   tb_init_vv : int array;  (* initial planes: all X, constants folded in *)
   tb_init_vx : int array;
+  tb_init_vb : Bytes.t;  (* their byte mirror *)
   tb_init_hash : int;
 }
 
@@ -148,6 +156,7 @@ type t = {
      freezes them ([shared]), the next mutating entry point clones. *)
   mutable vv : int array;  (* value plane *)
   mutable vx : int array;  (* unknown plane *)
+  mutable vb : Bytes.t;  (* byte mirror of vv/vx: one trit code per net *)
   mutable pv : int array;  (* previous-cycle value plane *)
   mutable px : int array;
   mutable av : int array;  (* activity bit-plane *)
@@ -160,16 +169,21 @@ type t = {
   port_drive : int array;
   mutable cycle : int;
   mutable mid : bool;  (* between begin_cycle and finish_cycle *)
+  cone : int array;  (* positions of the first settle, see [cone_plane] *)
   (* Per-engine scratch for finish_cycle's delta/X-active collection
+     (the last finished cycle's lists: [nd] deltas, [nx] X-active nets)
      and its X-propagation candidates (a program-position plane, all
      zero between cycles); not part of the observable state (excluded
      from snapshots). *)
   scratch_deltas : int array;
   scratch_x : int array;
+  mutable nd : int;
+  mutable nx : int;
   scratch_xprop : int array;
 }
 
 let netlist t = t.nl
+let ports t = t.ports
 let mem t = t.mem_
 let cycle_index t = t.cycle
 
@@ -177,6 +191,7 @@ let unshare t =
   if t.shared then begin
     t.vv <- Array.copy t.vv;
     t.vx <- Array.copy t.vx;
+    t.vb <- Bytes.copy t.vb;
     t.pv <- Array.copy t.pv;
     t.px <- Array.copy t.px;
     t.av <- Array.copy t.av;
@@ -251,8 +266,11 @@ let compile_program nl =
   Array.iter
     (fun id -> comb.(id lsr 5) <- comb.(id lsr 5) lor (1 lsl (id land 31)))
     topo;
+  let all = Array.make pw word_mask in
+  if ncomb land 31 <> 0 && pw > 0 then
+    all.(pw - 1) <- (1 lsl (ncomb land 31)) - 1;
   { c_prog = prog; c_fo_off = fo_off; c_fo_pos = fo_pos; c_ncomb = ncomb;
-    c_pw = pw; c_pos = pos_of; c_comb = comb }
+    c_pw = pw; c_pos = pos_of; c_comb = comb; c_all = all }
 
 let build_tables nl =
   let n = Netlist.gate_count nl in
@@ -323,21 +341,47 @@ let build_tables nl =
     tb_nw = nw;
     tb_init_vv = vv;
     tb_init_vx = vx;
+    tb_init_vb = Bytes.init n (fun i -> Char.unsafe_chr (pget vv vx i));
     tb_init_hash = !h;
   }
 
 let tables_for = Parallel.identity_memo build_tables
 
+(* The first settle of [begin_cycle] evaluates only the combinational
+   fan-in of the memory address and read-enable pins, so the memory is
+   read at settled values without first settling every other gate
+   against the old read data and then again against the new. The fork
+   net's fan-in joins it: the fork net is the one gate whose value may
+   differ from its function of its fanins (a forced decision holds until
+   a fanin changes), so it must see exactly the events of a full settle
+   — its fan-in is evaluated in the same passes as before. Every other
+   gate is consistent with its fanins, and settles once, after the read,
+   to the value two full passes give it. *)
+let cone_plane nl ports =
+  let full = (tables_for nl).tb_full in
+  let fork = match ports.fork_net with Some f -> [| f |] | None -> [||] in
+  let inside =
+    Netlist.fanin_cone nl
+      (Array.concat [ ports.mem_addr; [| ports.mem_ren |]; fork ])
+  in
+  let pl = Array.make full.c_pw 0 in
+  Array.iteri
+    (fun k id ->
+      if inside.(id) then pl.(k lsr 5) <- pl.(k lsr 5) lor (1 lsl (k land 31)))
+    nl.Netlist.topo;
+  pl
+
+(* Once per port record and netlist, like [tables_for]. *)
+let cone_for =
+  let per_ports =
+    Parallel.identity_memo (fun ports ->
+        Parallel.identity_memo (fun nl -> cone_plane nl ports))
+  in
+  fun nl ports -> per_ports ports nl
+
 let make nl ~ports ~mem tb =
   let ndffs = Netlist.dff_count nl in
   let n = Netlist.gate_count nl in
-  let full = tb.tb_full in
-  let dirty = Array.make full.c_pw 0 in
-  for w = 0 to full.c_pw - 1 do
-    dirty.(w) <- word_mask
-  done;
-  if full.c_ncomb land 31 <> 0 && full.c_pw > 0 then
-    dirty.(full.c_pw - 1) <- (1 lsl (full.c_ncomb land 31)) - 1;
   {
     nl;
     ports;
@@ -345,11 +389,12 @@ let make nl ~ports ~mem tb =
     tb;
     vv = Array.copy tb.tb_init_vv;
     vx = Array.copy tb.tb_init_vx;
+    vb = Bytes.copy tb.tb_init_vb;
     pv = Array.copy tb.tb_init_vv;
     px = Array.copy tb.tb_init_vx;
     av = Array.make tb.tb_nw 0;
     pav = Array.make tb.tb_nw 0;
-    dirty;
+    dirty = Array.copy tb.tb_full.c_all;
     dff_next = Array.make ndffs xcode;
     shared = false;
     hash = tb.tb_init_hash;
@@ -357,9 +402,12 @@ let make nl ~ports ~mem tb =
     port_drive = Array.make (Array.length ports.port_in) xcode;
     cycle = 0;
     mid = false;
+    cone = cone_for nl ports;
     scratch_deltas = Array.make n 0;
     scratch_x = Array.make n 0;
-    scratch_xprop = Array.make full.c_pw 0;
+    nd = 0;
+    nx = 0;
+    scratch_xprop = Array.make tb.tb_full.c_pw 0;
   }
 
 let create nl ~ports ~mem = make nl ~ports ~mem (tables_for nl)
@@ -388,8 +436,9 @@ let[@inline] mark_fanouts t id =
 (* Only entry point that writes a net value outside eval_pass. Keeps the
    Zobrist digest current when the net is a primary input. *)
 let drive t id v =
-  let old = pget t.vv t.vx id in
+  let old = bget t.vb id in
   if old <> v then begin
+    bset t.vb id v;
     pset t.vv t.vx id v;
     let slot = Array.unsafe_get t.tb.tb_islot id in
     if slot >= 0 then
@@ -397,38 +446,43 @@ let drive t id v =
     mark_fanouts t id
   end
 
-let eval_pass t =
+(* Settle the dirty positions inside [mask] (a program-position plane);
+   dirty positions outside it stay dirty for a later pass. *)
+let eval_pass t mask =
   let cur = t.tb.tb_full in
   let dirty = t.dirty
   and prog = cur.c_prog
+  and vb = t.vb
   and vv = t.vv
   and vx = t.vx in
   let pw = cur.c_pw in
   let words = ref 0 in
   let w = ref 0 in
   while !w < pw do
-    let bits = Array.unsafe_get dirty !w in
+    let d = Array.unsafe_get dirty !w in
+    let bits = d land Array.unsafe_get mask !w in
     incr words;
     if bits = 0 then incr w
     else begin
-      (* Clear the lowest set bit *before* evaluating: the evaluation
-         may re-mark bits in this very word (forward fanouts), which the
-         next iteration picks up by re-reading it. *)
-      Array.unsafe_set dirty !w (bits land (bits - 1));
+      (* Clear the lowest selected bit *before* evaluating: the
+         evaluation may re-mark bits in this very word (forward
+         fanouts), which the next iteration picks up by re-reading it. *)
+      Array.unsafe_set dirty !w (d lxor (bits land (-bits)));
       let p = ((!w lsl 5) lor Tri.Plane.ctz bits) lsl 2 in
       let hd = Array.unsafe_get prog p in
       let op = hd land 15 in
       let out = hd lsr 4 in
-      let a = pget vv vx (Array.unsafe_get prog (p + 1)) in
-      let b = pget vv vx (Array.unsafe_get prog (p + 2)) in
+      let a = bget vb (Array.unsafe_get prog (p + 1)) in
+      let b = bget vb (Array.unsafe_get prog (p + 2)) in
       let nv =
         if op < 6 then
           Array.unsafe_get bin_tbl ((op lsl 4) lor (a lsl 2) lor b)
         else
-          let c = pget vv vx (Array.unsafe_get prog (p + 3)) in
+          let c = bget vb (Array.unsafe_get prog (p + 3)) in
           Array.unsafe_get mux_tbl ((a lsl 4) lor (b lsl 2) lor c)
       in
-      if nv <> pget vv vx out then begin
+      if nv <> bget vb out then begin
+        bset vb out nv;
         pset vv vx out nv;
         mark_fanouts t out
       end
@@ -436,36 +490,54 @@ let eval_pass t =
   done;
   Telemetry.Counter.add c_words !words
 
+(* One loop, no intermediate trit array; the same word as
+   [Tri.Word.of_trits] over the bus's trits. *)
 let sample t bus =
-  Tri.Word.of_trits (Array.map (fun id -> Tri.of_int (pget t.vv t.vx id)) bus)
+  let vb = t.vb in
+  let v = ref 0 and x = ref 0 in
+  for i = 0 to Array.length bus - 1 do
+    let c = bget vb (Array.unsafe_get bus i) in
+    v := !v lor ((c land 1) lsl i);
+    x := !x lor ((c lsr 1) lsl i)
+  done;
+  Tri.Word.make ~width:(Array.length bus) ~v:!v ~x:!x
 
-let value t id = Tri.of_int (pget t.vv t.vx id)
+let value t id = Tri.of_int (Char.code (Bytes.get t.vb id))
 
 let begin_cycle t =
   if t.mid then invalid_arg "Engine.begin_cycle: already mid-cycle";
   unshare t;
   t.mid <- true;
   (* Clock edge: flops take their pending values. *)
-  Array.iteri (fun i id -> drive t id t.dff_next.(i)) t.nl.Netlist.dffs;
+  let dffs = t.nl.Netlist.dffs and dff_next = t.dff_next in
+  for i = 0 to Array.length dffs - 1 do
+    drive t (Array.unsafe_get dffs i) (Array.unsafe_get dff_next i)
+  done;
   (* External drives. *)
   drive t t.ports.reset t.reset_drive;
-  Array.iteri (fun i id -> drive t id t.port_drive.(i)) t.ports.port_in;
-  eval_pass t;
+  let port_in = t.ports.port_in in
+  for i = 0 to Array.length port_in - 1 do
+    drive t port_in.(i) t.port_drive.(i)
+  done;
+  (* Settle the address cone only; the rest settles once, after the
+     read. *)
+  eval_pass t t.cone;
   (* Combinational memory read. *)
-  let ren = Tri.of_int (pget t.vv t.vx t.ports.mem_ren) in
-  (match ren with
-  | Tri.Zero -> () (* bus keeper: rdata holds its previous value *)
-  | Tri.One ->
-    let addr = sample t t.ports.mem_addr in
-    let data = Mem.read t.mem_ addr in
-    Array.iteri
-      (fun i id -> drive t id (Tri.to_int (Tri.Word.bit data i)))
-      t.ports.mem_rdata
-  | Tri.X ->
-    Array.iter (fun id -> drive t id xcode) t.ports.mem_rdata);
-  eval_pass t;
+  let rdata = t.ports.mem_rdata in
+  (match bget t.vb t.ports.mem_ren with
+  | 0 -> () (* bus keeper: rdata holds its previous value *)
+  | 1 ->
+    let data = Mem.read t.mem_ (sample t t.ports.mem_addr) in
+    for i = 0 to Array.length rdata - 1 do
+      drive t rdata.(i) (Tri.to_int (Tri.Word.bit data i))
+    done
+  | _ ->
+    for i = 0 to Array.length rdata - 1 do
+      drive t rdata.(i) xcode
+    done);
+  eval_pass t t.tb.tb_full.c_all;
   match t.ports.fork_net with
-  | Some f when pget t.vv t.vx f = xcode -> `Fork
+  | Some f when bget t.vb f = xcode -> `Fork
   | Some _ | None -> `Ok
 
 let force_fork t v =
@@ -477,18 +549,21 @@ let force_fork t v =
   (match t.ports.fork_net with
   | None -> invalid_arg "Engine.force_fork: no fork net"
   | Some f -> drive t f (Tri.to_int v));
-  eval_pass t
+  eval_pass t t.tb.tb_full.c_all
 
-let finish_cycle t =
+(* The cycle's work without its record: pending flop values, the
+   memory write, activity, and the delta/X-active lists left in the
+   scratch arrays ([nd]/[nx] long) until the next cycle. *)
+let commit_cycle t =
   if not t.mid then invalid_arg "Engine.finish_cycle: begin_cycle first";
   (match t.ports.fork_net with
-  | Some f when pget t.vv t.vx f = xcode ->
+  | Some f when bget t.vb f = xcode ->
     invalid_arg "Engine.finish_cycle: unresolved fork"
   | Some _ | None -> ());
   unshare t;
   t.mid <- false;
   let nl = t.nl in
-  let vv = t.vv and vx = t.vx and pv = t.pv and px = t.px in
+  let vb = t.vb and vv = t.vv and vx = t.vx and pv = t.pv and px = t.px in
   let tb = t.tb in
   let nw = tb.tb_nw in
   let dff_e = tb.tb_dff_e and dff_f0 = tb.tb_dff_f0 and dff_f1 = tb.tb_dff_f1 in
@@ -500,11 +575,11 @@ let finish_cycle t =
   for i = 0 to Array.length dffs - 1 do
     let nv =
       if Bytes.unsafe_get dff_e i = '\000' then
-        pget vv vx (Array.unsafe_get dff_f0 i)
+        bget vb (Array.unsafe_get dff_f0 i)
       else begin
-        let en = pget vv vx (Array.unsafe_get dff_f0 i) in
-        let d = pget vv vx (Array.unsafe_get dff_f1 i) in
-        let q = pget vv vx (Array.unsafe_get dffs i) in
+        let en = bget vb (Array.unsafe_get dff_f0 i) in
+        let d = bget vb (Array.unsafe_get dff_f1 i) in
+        let q = bget vb (Array.unsafe_get dffs i) in
         if en = 0 then q else if en = 1 then d else if d = q then q else xcode
       end
     in
@@ -515,13 +590,12 @@ let finish_cycle t =
     end
   done;
   (* Memory write (synchronous). *)
-  let wen = Tri.of_int (pget vv vx t.ports.mem_wen) in
-  (match wen with
-  | Tri.Zero -> ()
-  | Tri.One | Tri.X ->
+  let wen = bget vb t.ports.mem_wen in
+  if wen <> 0 then begin
     let addr = sample t t.ports.mem_addr in
     let data = sample t t.ports.mem_wdata in
-    Mem.write t.mem_ ~strobe:wen addr data);
+    Mem.write t.mem_ ~strobe:(Tri.of_int wen) addr data
+  end;
   (* Activity marking. Base case, word-wide: a gate that changed value
      is active (constants never change, so they never set a bit). *)
   let av = t.av in
@@ -609,7 +683,7 @@ let finish_cycle t =
           else
             bit_set av f0
             ||
-            let sel = pget vv vx f0 in
+            let sel = bget vb f0 in
             if sel = 0 then bit_set av (Array.unsafe_get prog (p + 2))
             else if sel = 1 then bit_set av (Array.unsafe_get prog (p + 3))
             else
@@ -642,7 +716,7 @@ let finish_cycle t =
         d := !d land (!d - 1);
         let id = (w lsl 5) lor b in
         Array.unsafe_set sd !nd
-          (Trace.pack ~net:id ~old_v:(pget pv px id) ~new_v:(pget vv vx id));
+          (Trace.pack ~net:id ~old_v:(pget pv px id) ~new_v:(bget vb id));
         incr nd
       done
     end;
@@ -657,26 +731,41 @@ let finish_cycle t =
       done
     end
   done;
-  let rec_ =
-    {
-      Trace.deltas = Array.sub sd 0 !nd;
-      x_active = Array.sub sx 0 !nx;
-      pc = sample t t.ports.pc;
-      state = sample t t.ports.state;
-      ir = sample t t.ports.ir;
-    }
-  in
+  t.nd <- !nd;
+  t.nx <- !nx;
   Array.blit vv 0 pv 0 nw;
   Array.blit vx 0 px 0 nw;
   Array.blit av 0 t.pav 0 nw;
   t.cycle <- t.cycle + 1;
-  Telemetry.Counter.add c_cycles 1;
-  rec_
+  Telemetry.Counter.add c_cycles 1
+
+(* The record of the last finished cycle: copies of the scratch lists
+   and the probes (the probes' nets cannot change before the next
+   [begin_cycle]). *)
+let record t =
+  {
+    Trace.deltas = Array.sub t.scratch_deltas 0 t.nd;
+    x_active = Array.sub t.scratch_x 0 t.nx;
+    pc = sample t t.ports.pc;
+    state = sample t t.ports.state;
+    ir = sample t t.ports.ir;
+  }
+
+let finish_cycle t =
+  commit_cycle t;
+  record t
+
+let last_deltas t = t.scratch_deltas
+let last_delta_count t = t.nd
+
+let advance t =
+  match begin_cycle t with
+  | `Ok -> commit_cycle t
+  | `Fork -> failwith "Engine.step: unexpected fork (X on branch decision)"
 
 let step t =
-  match begin_cycle t with
-  | `Ok -> finish_cycle t
-  | `Fork -> failwith "Engine.step: unexpected fork (X on branch decision)"
+  advance t;
+  record t
 
 (* O(1): the flop/input hash is maintained incrementally, the RAM hash
    by Mem. Zobrist equality mirrors content equality (collisions are
@@ -684,11 +773,12 @@ let step t =
    full-serialization MD5 digest. *)
 let arch_digest t = Zhash.to_digest (t.hash lxor Mem.content_hash t.mem_)
 
-let values_snapshot t = Array.init (Netlist.gate_count t.nl) (pget t.vv t.vx)
+let values_snapshot t = Array.init (Netlist.gate_count t.nl) (bget t.vb)
 
 type snapshot = {
   s_vv : int array;
   s_vx : int array;
+  s_vb : Bytes.t;
   s_pv : int array;
   s_px : int array;
   s_av : int array;
@@ -708,6 +798,7 @@ let snapshot_ t =
   {
     s_vv = t.vv;
     s_vx = t.vx;
+    s_vb = t.vb;
     s_pv = t.pv;
     s_px = t.px;
     s_av = t.av;
@@ -735,6 +826,7 @@ let snapshot t =
 let restore t s =
   t.vv <- s.s_vv;
   t.vx <- s.s_vx;
+  t.vb <- s.s_vb;
   t.pv <- s.s_pv;
   t.px <- s.s_px;
   t.av <- s.s_av;
@@ -1281,10 +1373,12 @@ module Gang = struct
     let n = Netlist.gate_count e.nl in
     let nw = e.tb.tb_nw in
     let vv = Array.make nw 0 and vx = Array.make nw 0 in
+    let vb = Bytes.create n in
     let pv = Array.make nw 0 and px = Array.make nw 0 in
     let pav = Array.make nw 0 in
     for i = 0 to n - 1 do
       let w = i lsr 5 and b = i land 31 in
+      bset vb i (lane_code g i l);
       let set pl src =
         Array.unsafe_set pl w
           (Array.unsafe_get pl w
@@ -1299,6 +1393,7 @@ module Gang = struct
     {
       s_vv = vv;
       s_vx = vx;
+      s_vb = vb;
       s_pv = pv;
       s_px = px;
       s_av = Array.make nw 0;  (* rewritten wholesale by finish_cycle *)

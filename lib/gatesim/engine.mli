@@ -12,7 +12,8 @@
 
     A cycle is split in two phases so external memory can respond
     combinationally: {!begin_cycle} latches the flops, drives inputs,
-    settles logic, performs the memory read and settles again;
+    settles the fan-in of the memory address, read enable and fork net,
+    performs the memory read and settles everything;
     {!finish_cycle} computes activity, samples probes, commits the
     memory write and advances time. Between the two, the driver may be
     told that the branch-decision net is X ([`Fork]) and must resolve it
@@ -43,6 +44,7 @@ type t
 val create : Netlist.t -> ports:ports -> mem:Mem.t -> t
 
 val netlist : t -> Netlist.t
+val ports : t -> ports
 val mem : t -> Mem.t
 val cycle_index : t -> int
 
@@ -63,6 +65,24 @@ val finish_cycle : t -> Trace.cycle
 (** [step t] = [begin_cycle] + [finish_cycle]; raises [Failure] on
     [`Fork] (concrete runs must never fork). *)
 val step : t -> Trace.cycle
+
+(** [advance t] is {!step} without the cycle record: the cycle's deltas
+    stay readable through {!last_deltas} until the next cycle starts,
+    and nothing is allocated for them. For callers that only sum power
+    over a run. *)
+val advance : t -> unit
+
+(** The packed deltas ({!Trace.pack}) of the last finished cycle, in
+    the first {!last_delta_count} slots of an engine-owned scratch array
+    that the next cycle overwrites — the [deltas] its record has. *)
+val last_deltas : t -> int array
+
+val last_delta_count : t -> int
+
+(** [record t] — the record of the last finished cycle (what
+    {!finish_cycle} returns): copies of its delta and X-active lists,
+    and the probes sampled now. Valid until the next {!begin_cycle}. *)
+val record : t -> Trace.cycle
 
 (** Current value of an arbitrary net / bus. *)
 val value : t -> int -> Tri.t

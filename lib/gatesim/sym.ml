@@ -634,17 +634,25 @@ let run ?pool e config =
       total_cycles = cctx.c_cycles;
     } )
 
-let run_concrete e ~is_end ~max_cycles =
+let concrete e ~is_end ~max_cycles on_cycle =
   if Engine.cycle_index e <> 0 then invalid_arg "Sym.run_concrete: engine not fresh";
   do_reset e;
-  let initial = Engine.values_snapshot e in
-  let acc = ref [] in
+  let ports = Engine.ports e in
   let rec go n =
     if n > max_cycles then
       raise (Path_limit (Printf.sprintf "concrete run exceeded %d cycles" max_cycles));
-    let c = Engine.step e in
-    acc := c :: !acc;
-    if not (is_end c) then go (n + 1)
+    Engine.advance e;
+    on_cycle ();
+    if
+      not
+        (is_end
+           ~state:(Engine.sample e ports.Engine.state)
+           ~pc:(Engine.sample e ports.Engine.pc))
+    then go (n + 1)
   in
-  go 0;
-  (Array.of_list (List.rev !acc), initial)
+  go 0
+
+let run_concrete e ~is_end ~max_cycles =
+  let acc = ref [] in
+  concrete e ~is_end ~max_cycles (fun () -> acc := Engine.record e :: !acc);
+  Array.of_list (List.rev !acc)

@@ -48,13 +48,24 @@ exception Path_limit of string
     regardless of [pool] size or scheduling. *)
 val run : ?pool:Parallel.Pool.t -> Engine.t -> config -> Trace.tree * stats
 
-(** [run_concrete engine ~is_end ~max_cycles] — single-path concrete
-    simulation from reset (profiling baseline / validation runs). RAM
-    should have been concretized first (see {!Mem.poke}); any X reaching
-    the branch-decision net is an error. Returns the trace and the
-    initial net values. *)
+(** [concrete engine ~is_end ~max_cycles on_cycle] — single-path
+    concrete simulation from reset (profiling baseline / validation
+    runs), keeping no cycle records. RAM should have been concretized
+    first (see {!Mem.poke}); any X reaching the branch-decision net
+    raises [Failure]. After the reset protocol, cycles run until
+    [is_end] holds on a cycle's sampled state and PC probes; more than
+    [max_cycles] + 1 cycles raise {!Path_limit}. [on_cycle] runs after
+    each cycle, while {!Engine.last_deltas} hold that cycle's deltas. *)
+val concrete :
+  Engine.t ->
+  is_end:(state:Tri.Word.t -> pc:Tri.Word.t -> bool) ->
+  max_cycles:int ->
+  (unit -> unit) ->
+  unit
+
+(** [run_concrete] — {!concrete} that keeps every cycle record. *)
 val run_concrete :
   Engine.t ->
-  is_end:(Trace.cycle -> bool) ->
+  is_end:(state:Tri.Word.t -> pc:Tri.Word.t -> bool) ->
   max_cycles:int ->
-  Trace.cycle array * int array
+  Trace.cycle array

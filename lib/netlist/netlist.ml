@@ -68,6 +68,18 @@ let find_net nl name =
 
 let module_of nl id = nl.module_names.(nl.gates.(id).module_id)
 
+let fanin_cone nl roots =
+  let seen = Array.make (gate_count nl) false in
+  let rec visit id =
+    if not seen.(id) then begin
+      seen.(id) <- true;
+      let g = nl.gates.(id) in
+      if not (is_sequential g.cell) then Array.iter visit g.fanins
+    end
+  in
+  Array.iter visit roots;
+  seen
+
 exception Combinational_loop of int list
 
 module Builder = struct

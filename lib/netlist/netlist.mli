@@ -66,6 +66,12 @@ val find_net : t -> string -> int
 (** [module_of nl id] is the module name of gate [id]. *)
 val module_of : t -> int -> string
 
+(** [fanin_cone nl roots] — per net id, whether the net reaches one of
+    [roots] through combinational gates only: the roots themselves, the
+    combinational gates on the way, and the sources (inputs, constants,
+    flop outputs) where the walk stops. *)
+val fanin_cone : t -> int array -> bool array
+
 exception Combinational_loop of int list
 
 (** {1 Building}

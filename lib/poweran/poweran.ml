@@ -94,22 +94,29 @@ let[@inline] delta_energy t ~max_mode packed =
   | 1, 2 | 2, 0 -> t.fall.(net)
   | _ -> if max_mode then t.emax.(net) else 0.
 
-let cycle_energy t ~max_mode (cy : Gatesim.Trace.cycle) =
-  let deltas = cy.Gatesim.Trace.deltas in
+(* Energy of the first [n] packed deltas, summed in order. *)
+let[@inline] deltas_energy t ~max_mode deltas n =
   let e = ref 0. in
-  for k = 0 to Array.length deltas - 1 do
+  for k = 0 to n - 1 do
     e := !e +. delta_energy t ~max_mode (Array.unsafe_get deltas k)
   done;
-  if max_mode then begin
-    let xa = cy.Gatesim.Trace.x_active in
-    for k = 0 to Array.length xa - 1 do
-      e := !e +. t.emax.(Array.unsafe_get xa k)
-    done
-  end;
   !e
 
-let cycle_power_observed t cy = t.base +. (cycle_energy t ~max_mode:false cy /. t.period_)
-let cycle_power_max t cy = t.base +. (cycle_energy t ~max_mode:true cy /. t.period_)
+let observed_power t deltas n =
+  t.base +. (deltas_energy t ~max_mode:false deltas n /. t.period_)
+
+let cycle_power_observed t (cy : Gatesim.Trace.cycle) =
+  let deltas = cy.Gatesim.Trace.deltas in
+  observed_power t deltas (Array.length deltas)
+
+let cycle_power_max t (cy : Gatesim.Trace.cycle) =
+  let deltas = cy.Gatesim.Trace.deltas in
+  let e = ref (deltas_energy t ~max_mode:true deltas (Array.length deltas)) in
+  let xa = cy.Gatesim.Trace.x_active in
+  for k = 0 to Array.length xa - 1 do
+    e := !e +. t.emax.(Array.unsafe_get xa k)
+  done;
+  t.base +. (!e /. t.period_)
 
 let trace_power t ~mode cycles =
   let f =

@@ -39,6 +39,13 @@ val period : t -> float
 (** Leakage + clock-tree power, burned every cycle. *)
 val base_power : t -> float
 
+(** [observed_power t deltas n] — observed power of a cycle whose packed
+    deltas ({!Gatesim.Trace.pack}) are [deltas.(0) .. deltas.(n-1)]: the
+    one summation behind {!cycle_power_observed}, also used on an
+    engine's scratch deltas ({!Gatesim.Engine.last_deltas}) so concrete
+    runs need no cycle records. *)
+val observed_power : t -> int array -> int -> float
+
 val cycle_power_observed : t -> Gatesim.Trace.cycle -> float
 val cycle_power_max : t -> Gatesim.Trace.cycle -> float
 

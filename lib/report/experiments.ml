@@ -143,7 +143,7 @@ let fig_2_2 ctx ~energy =
 let fig_2_3 ctx =
   let b = Benchprogs.Bench.find "mult" in
   let img = Benchprogs.Bench.assemble b in
-  let _, trace =
+  let trace =
     Core.Analyze.run_concrete ctx.Context.pa_f1610 ctx.Context.cpu img
       ~inputs:[ (Benchprogs.Bench.input_base, b.Benchprogs.Bench.gen_inputs ~seed:8) ]
   in
@@ -248,8 +248,8 @@ let fig_3_4 ctx =
   let nl = ctx.Context.cpu.Cpu.netlist in
   let lo, hi = low_high_inputs b in
   let render label inputs =
-    let concrete, _ =
-      Core.Analyze.run_concrete ctx.Context.pa ctx.Context.cpu img
+    let concrete =
+      Core.Analyze.run_concrete_records ctx.Context.cpu img
         ~inputs:[ (Benchprogs.Bench.input_base, inputs) ]
     in
     let sets = Core.Validate.compare_toggles ~tree:a.Core.Analyze.tree ~concrete in
@@ -283,10 +283,11 @@ let fig_3_5 ctx =
   let b = Benchprogs.Bench.find "mult" in
   let a = Context.analysis ctx b in
   let img = Benchprogs.Bench.assemble b in
-  let concrete, ctrace =
-    Core.Analyze.run_concrete ctx.Context.pa ctx.Context.cpu img
+  let concrete =
+    Core.Analyze.run_concrete_records ctx.Context.cpu img
       ~inputs:[ (Benchprogs.Bench.input_base, b.Benchprogs.Bench.gen_inputs ~seed:8) ]
   in
+  let ctrace = Poweran.trace_power ctx.Context.pa ~mode:`Observed concrete in
   match Core.Validate.check_bound ctx.Context.pa ~tree:a.Core.Analyze.tree ~concrete with
   | None -> "fig-3.5: no matching path found (unexpected)\n"
   | Some chk ->

@@ -36,6 +36,10 @@ type t = {
   m : Mutex.t;
   mutable buffers : buffer list;
   main_tid : int;
+  (* Concurrent [with_ambient] calls installing this sink, and the
+     ambient the first of them found; both under [install_m]. *)
+  mutable installs : int;
+  mutable before : t option;
 }
 
 let ids = Atomic.make 0
@@ -51,6 +55,8 @@ let create ?(retain_events = true) () =
     m = Mutex.create ();
     buffers = [];
     main_tid = (Domain.self () :> int);
+    installs = 0;
+    before = None;
   }
 
 let now_ns () = Monotonic_clock.now ()
@@ -63,10 +69,23 @@ let ambient () = Atomic.get the_ambient
 let set_ambient s = Atomic.set the_ambient s
 let enabled () = Atomic.get the_ambient <> None
 
+(* Concurrent calls with one sink (two requests of a daemon sharing its
+   sink) share one installation: the ambient found by the first comes
+   back only when the last returns, whatever the order they return in. *)
+let install_m = Mutex.create ()
+
 let with_ambient s f =
-  let prev = Atomic.get the_ambient in
-  Atomic.set the_ambient (Some s);
-  Fun.protect ~finally:(fun () -> Atomic.set the_ambient prev) f
+  Mutex.protect install_m (fun () ->
+      if s.installs = 0 then s.before <- Atomic.get the_ambient;
+      s.installs <- s.installs + 1;
+      Atomic.set the_ambient (Some s));
+  Fun.protect f ~finally:(fun () ->
+      Mutex.protect install_m (fun () ->
+          s.installs <- s.installs - 1;
+          if s.installs = 0 then begin
+            Atomic.set the_ambient s.before;
+            s.before <- None
+          end))
 
 (* sink id -> buffer, per domain (a domain can record into several
    sinks over its lifetime). *)

@@ -53,7 +53,10 @@ val ambient : unit -> t option
 val set_ambient : t option -> unit
 
 (** [with_ambient s f] runs [f] with [s] installed, restoring the
-    previous sink afterwards (also on exceptions). *)
+    previous sink afterwards (also on exceptions). Calls installing the
+    same sink concurrently, from several domains, share the
+    installation: [s] stays installed until the last of them returns,
+    which restores the sink the first one found. *)
 val with_ambient : t -> (unit -> 'a) -> 'a
 
 (** True iff a sink is installed. One atomic load. *)

@@ -428,12 +428,10 @@ type concrete = {
 let run_concrete ?(ctx = Ctx.default) p ~inputs =
   in_ctx ctx @@ fun () ->
   with_env (fun cpu pa ->
-      match
-        Core.Analyze.run_concrete pa cpu p.p_image ~inputs
-      with
-      | cycles, trace ->
+      match Core.Analyze.run_concrete pa cpu p.p_image ~inputs with
+      | trace ->
         let peak_w, peak_cycle = Poweran.peak_of trace in
-        Ok { cycles = Array.length cycles; peak_w; peak_cycle; trace_w = trace }
+        Ok { cycles = Array.length trace; peak_w; peak_cycle; trace_w = trace }
       | exception Failure m ->
         Error (Error.Analysis { program = p.p_name; message = m }))
 

@@ -98,7 +98,7 @@ let test_symbolic b () =
   List.iter
     (fun seed ->
       let inputs = b.Benchprogs.Bench.gen_inputs ~seed in
-      let _, ctrace =
+      let ctrace =
         Core.Analyze.run_concrete (Lazy.force pa) cpu img
           ~inputs:[ (Benchprogs.Bench.input_base, inputs) ]
       in

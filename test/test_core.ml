@@ -42,10 +42,9 @@ let test_bound_dominates_concrete () =
   let img, a = analyze branch_program in
   List.iter
     (fun input ->
-      let concrete, ctrace =
-        Core.Analyze.run_concrete (Lazy.force pa) cpu img
-          ~inputs:[ (input_addr, [ input ]) ]
-      in
+      let inputs = [ (input_addr, [ input ]) ] in
+      let ctrace = Core.Analyze.run_concrete (Lazy.force pa) cpu img ~inputs in
+      let concrete = Core.Analyze.run_concrete_records cpu img ~inputs in
       let cpk, _ = Poweran.peak_of ctrace in
       Alcotest.(check bool)
         (Printf.sprintf "peak bound >= concrete (input %d)" input)
@@ -65,9 +64,8 @@ let test_bound_dominates_concrete () =
 
 let test_superset () =
   let img, a = analyze branch_program in
-  let concrete, _ =
-    Core.Analyze.run_concrete (Lazy.force pa) cpu img
-      ~inputs:[ (input_addr, [ 99 ]) ]
+  let concrete =
+    Core.Analyze.run_concrete_records cpu img ~inputs:[ (input_addr, [ 99 ]) ]
   in
   let sets =
     Core.Validate.compare_toggles ~tree:a.Core.Analyze.tree ~concrete

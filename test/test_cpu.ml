@@ -30,6 +30,29 @@ let test_netlist_shape () =
       "multiplier"; "sfr"; "watchdog";
     ]
 
+(* The single memory read per cycle needs read data not to reach the
+   address or read enable. The CPU's fetch bypass is such a path in the
+   bare fan-in cone, never sensitized, so the check passes; a port
+   record that routes read data into the address or the enable trips
+   it. *)
+let test_memory_ports () =
+  let c = Tsupport.the_cpu () in
+  let nl = c.Cpu.netlist and p = c.Cpu.ports in
+  let rdata = p.Gatesim.Engine.mem_rdata in
+  let cone = Netlist.fanin_cone nl p.Gatesim.Engine.mem_addr in
+  Alcotest.(check bool) "fetch bypass in the address cone" true
+    (Array.exists (fun id -> cone.(id)) rdata);
+  Cpu.check_memory_ports nl p;
+  let trips label ports =
+    match Cpu.check_memory_ports nl ports with
+    | () -> Alcotest.failf "%s: check passed" label
+    | exception Failure _ -> ()
+  in
+  let addr = Array.copy p.Gatesim.Engine.mem_addr in
+  addr.(3) <- rdata.(5);
+  trips "read data on the address" { p with Gatesim.Engine.mem_addr = addr };
+  trips "read data as the enable" { p with Gatesim.Engine.mem_ren = rdata.(0) }
+
 let test_basic_alu () =
   let r =
     lockstep_body
@@ -243,7 +266,10 @@ let () =
   Alcotest.run "cpu"
     [
       ( "structure",
-        [ Alcotest.test_case "netlist shape" `Quick test_netlist_shape ] );
+        [
+          Alcotest.test_case "netlist shape" `Quick test_netlist_shape;
+          Alcotest.test_case "memory ports" `Quick test_memory_ports;
+        ] );
       ( "lockstep",
         [
           Alcotest.test_case "alu" `Quick test_basic_alu;

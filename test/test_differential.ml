@@ -175,6 +175,66 @@ let test_random_netlists () =
       ds
   done
 
+(* A forced fork decision holds until a fanin of the fork net changes.
+   Here the fork net [f = buf (p xor r)], with [r] the read data, is
+   forced to 1 while X; next cycle [p] goes 0 -> 1 and the read data
+   X. Settling everything before the read moves [p xor r] to 1, then
+   back to X, and re-evaluates [f] to X on the way; a settle that left
+   [f]'s fan-in for after the read would see no change and keep the
+   forced 1. The engine settles the fork net's fan-in before the read,
+   so it forks again exactly when the reference does. *)
+let test_forced_fork_transient () =
+  let b = Netlist.Builder.create () in
+  Netlist.Builder.set_module b "fork";
+  let reset = Netlist.Builder.add_input b in
+  let p = Netlist.Builder.add_input b in
+  let q = Netlist.Builder.add_input b in
+  let r = Netlist.Builder.add_input b in
+  let zero = Netlist.Builder.add_const b Tri.Zero in
+  let h = Netlist.Builder.add_gate b Netlist.Xor2 [| p; r |] in
+  let f = Netlist.Builder.add_gate b Netlist.Buf [| h |] in
+  let nl = Netlist.Builder.freeze b in
+  let ports =
+    {
+      Gatesim.Engine.reset;
+      port_in = [| p; q |];
+      mem_addr = Array.make 16 zero;
+      mem_rdata = [| r |];
+      mem_wdata = Array.make 16 zero;
+      mem_ren = q;
+      mem_wen = zero;
+      pc = [| h |];
+      state = [| f |];
+      ir = [| p |];
+      fork_net = Some f;
+    }
+  in
+  let mk () = Gatesim.Mem.create ~rom:[ (0, 0) ] ~ram_base:0x1000 ~ram_bytes:64 in
+  let e = Gatesim.Engine.create nl ~ports ~mem:(mk ()) in
+  let rf = Gatesim.Refsim.create nl ~ports ~mem:(mk ()) in
+  let cycle k drives =
+    Gatesim.Engine.set_port_in e drives;
+    Gatesim.Refsim.set_port_in rf drives;
+    let oe = Gatesim.Engine.begin_cycle e and orf = Gatesim.Refsim.begin_cycle rf in
+    Alcotest.(check bool)
+      (Printf.sprintf "cycle %d: forks alike" k)
+      (orf = `Fork) (oe = `Fork);
+    if oe = `Fork then begin
+      Gatesim.Engine.force_fork e Tri.One;
+      Gatesim.Refsim.force_fork rf Tri.One
+    end;
+    check_cycle (Printf.sprintf "cycle %d" k)
+      (Gatesim.Engine.finish_cycle e)
+      (Gatesim.Refsim.finish_cycle rf);
+    oe
+  in
+  (* p X, read enabled: r reads the ROM's 0, f = X -> fork, forced 1. *)
+  Alcotest.(check bool) "first cycle forks" true
+    (cycle 1 [| Tri.X; Tri.One |] = `Fork);
+  (* p 1, read enable X: r goes X, and f must be re-evaluated to X. *)
+  Alcotest.(check bool) "second cycle forks" true
+    (cycle 2 [| Tri.One; Tri.X |] = `Fork)
+
 (* ---------------- gang vs scalar lockstep ---------------- *)
 
 (* Every gang lane is paired with a scalar twin engine started from the
@@ -265,6 +325,13 @@ let gang_lockstep ~trial ~k ~forks_seen =
           (match Gatesim.Engine.begin_cycle twin with
           | `Fork -> ()
           | `Ok -> Alcotest.fail (msg "lane forked, twin did not" l step));
+          (* The extracted lane's byte mirror, read right after the
+             restore, against the twin's mid-cycle values. *)
+          Alcotest.(check (array int))
+            (msg "fork extract values" l step)
+            (Gatesim.Engine.values_snapshot twin)
+            (Gatesim.Engine.values_snapshot
+               (Gatesim.Engine.of_snapshot proto snap));
           (* Resolve the fork both ways from the extracted mid-cycle
              snapshot and from the twin's own mid-cycle state: the
              continuations must agree bit for bit. *)
@@ -533,16 +600,42 @@ let test_concrete_lockstep () =
            !max_x nets)
         true
         (!max_x * 4 < nets);
-      let cycles, trace = Core.Analyze.run_concrete pa cpu img ~inputs in
+      let cycles = Core.Analyze.run_concrete_records cpu img ~inputs in
       Alcotest.(check int)
-        (Printf.sprintf "%s seed %d: production run length" name seed)
+        (Printf.sprintf "%s seed %d: records run length" name seed)
         (Array.length ref_cycles) (Array.length cycles);
+      Array.iteri
+        (fun k c -> check_cycle (msg k ^ " (records run)") c ref_cycles.(k))
+        cycles;
       Alcotest.(check (array (float 0.0)))
-        (Printf.sprintf "%s seed %d: power trace" name seed)
+        (Printf.sprintf "%s seed %d: streamed power trace" name seed)
         (Poweran.trace_power pa ~mode:`Observed ref_cycles)
-        trace)
+        (Core.Analyze.run_concrete pa cpu img ~inputs))
     [ ("tea8", 1); ("tea8", 2); ("div", 1); ("div", 2); ("autoCorr", 1);
       ("autoCorr", 2) ]
+
+(* The streamed concrete run keeps no cycle records: its power trace,
+   summed from the engine's scratch deltas, and its length must equal
+   the observed power over the records run's cycles, on every kernel. *)
+let test_concrete_streamed () =
+  let cpu = Tsupport.the_cpu () in
+  let pa = Core.Analyze.poweran_for cpu in
+  List.iter
+    (fun b ->
+      let name = b.Benchprogs.Bench.name in
+      let img = Benchprogs.Bench.assemble b in
+      let inputs =
+        [ (Benchprogs.Bench.input_base, b.Benchprogs.Bench.gen_inputs ~seed:1) ]
+      in
+      let cycles = Core.Analyze.run_concrete_records cpu img ~inputs in
+      let trace = Core.Analyze.run_concrete pa cpu img ~inputs in
+      Alcotest.(check int) (name ^ ": cycles") (Array.length cycles)
+        (Array.length trace);
+      Alcotest.(check (array (float 0.0)))
+        (name ^ ": power trace")
+        (Poweran.trace_power pa ~mode:`Observed cycles)
+        trace)
+    (Benchprogs.Bench.all @ Benchprogs.Extended.all)
 
 (* The production path: Sym.run + full analysis is deterministic across
    runs of the compiled kernel (exercises COW snapshots and the
@@ -929,12 +1022,16 @@ let () =
         [
           Alcotest.test_case "random netlists" `Quick test_random_netlists;
           Alcotest.test_case "gang lockstep" `Quick test_gang_lockstep;
+          Alcotest.test_case "forced fork transient" `Quick
+            test_forced_fork_transient;
           Alcotest.test_case "branch fork" `Quick test_branch_dual;
           Alcotest.test_case "polling dedup" `Quick test_polling_dual;
           Alcotest.test_case "bench bounds" `Slow test_bench_bounds;
           Alcotest.test_case "sym deterministic" `Quick test_sym_deterministic;
           Alcotest.test_case "concrete runs lockstep" `Quick
             test_concrete_lockstep;
+          Alcotest.test_case "concrete runs streamed" `Quick
+            test_concrete_streamed;
         ] );
       ( "specialization",
         [

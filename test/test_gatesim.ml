@@ -43,7 +43,7 @@ let concrete_run body ~input =
   | Some v -> Gatesim.Mem.poke (Gatesim.Engine.mem e) input_addr v
   | None -> ());
   Gatesim.Sym.run_concrete e
-    ~is_end:(Cpu.is_end_cycle ~halt_addr:img.Asm.halt_addr)
+    ~is_end:(Cpu.is_end ~halt_addr:img.Asm.halt_addr)
     ~max_cycles:20_000
 
 let test_fork_two_paths () =
@@ -116,7 +116,7 @@ let test_superset_validation () =
   let sym_active = active_nets_of_tree tree in
   List.iter
     (fun input ->
-      let cycles, _ = concrete_run branch_program ~input:(Some input) in
+      let cycles = concrete_run branch_program ~input:(Some input) in
       let conc = toggled_nets_of_run cycles in
       let missing = ref [] in
       Hashtbl.iter
@@ -130,7 +130,7 @@ let test_superset_validation () =
 
 let test_concrete_matches_iss_flow () =
   (* end-to-end: the flattened concrete trace ends at the halt fetch *)
-  let cycles, _ = concrete_run branch_program ~input:(Some 5) in
+  let cycles = concrete_run branch_program ~input:(Some 5) in
   let last = cycles.(Array.length cycles - 1) in
   Alcotest.(check bool) "last cycle is halt fetch" true
     (Cpu.is_end_cycle

@@ -164,9 +164,9 @@ let test_port_pin_x_forks () =
   let e2 = Tsupport.fresh_engine ~concrete:true img in
   Gatesim.Engine.set_port_in e2
     (Array.init 16 (fun k -> if k = 0 then Tri.One else Tri.Zero));
-  let cycles, _ =
+  let cycles =
     Gatesim.Sym.run_concrete e2
-      ~is_end:(Cpu.is_end_cycle ~halt_addr:img.Asm.halt_addr)
+      ~is_end:(Cpu.is_end ~halt_addr:img.Asm.halt_addr)
       ~max_cycles:1000
   in
   Alcotest.(check bool) "concrete run completes" true (Array.length cycles > 10)

@@ -43,6 +43,44 @@ let test_span_exception () =
     Alcotest.(check int) "depth unwound" 1 e.Telemetry.depth
   | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs)
 
+(* Two domains install the same sink, overlapping: A enters, B enters,
+   A leaves (the sink must still be installed for B), B leaves (the
+   ambient found by A, none, must be back). Atomic handshakes fix the
+   interleaving. *)
+let test_shared_sink_installs () =
+  let saved = Telemetry.ambient () in
+  Telemetry.set_ambient None;
+  let t = Telemetry.create () in
+  let step = Atomic.make 0 in
+  let wait n =
+    while Atomic.get step < n do
+      Domain.cpu_relax ()
+    done
+  in
+  let a =
+    Domain.spawn (fun () ->
+        Telemetry.with_ambient t (fun () ->
+            Atomic.set step 1;
+            wait 2);
+        Atomic.set step 3)
+  in
+  let b =
+    Domain.spawn (fun () ->
+        wait 1;
+        Telemetry.with_ambient t (fun () ->
+            Atomic.set step 2;
+            wait 4))
+  in
+  wait 3;
+  let still = match Telemetry.ambient () with Some s -> s == t | None -> false in
+  Atomic.set step 4;
+  Domain.join a;
+  Domain.join b;
+  let after = Telemetry.ambient () in
+  Telemetry.set_ambient saved;
+  Alcotest.(check bool) "installed while B runs" true still;
+  Alcotest.(check bool) "ambient back to none" true (Option.is_none after)
+
 let test_spans_across_domains () =
   let t = Telemetry.create () in
   let n_domains = 3 in
@@ -668,6 +706,8 @@ let () =
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception" `Quick test_span_exception;
           Alcotest.test_case "across domains" `Quick test_spans_across_domains;
+          Alcotest.test_case "shared sink installs" `Quick
+            test_shared_sink_installs;
         ] );
       ( "counters",
         [
