@@ -234,8 +234,8 @@ let micro ~smoke () =
       (Staged.stage (fun () -> ignore (Core.Analyze.run ~pool:par_pool pa cpu img)))
   in
   (* div is the fork-heavy benchmark (tea8 never forks), so this is the
-     one row whose inner loop actually exercises fork spawning and the
-     gang-stepped sibling lanes. *)
+     one row whose inner loop actually exercises fork resolution and the
+     scheduling of sibling branches. *)
   let img_div = Benchprogs.Bench.assemble (Benchprogs.Bench.find "div") in
   let symbolic_div =
     Test.make ~name:"symbolic-analysis-div-j1"

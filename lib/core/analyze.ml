@@ -93,7 +93,7 @@ let run ?(config = default_config) ?pool ?cache pa cpu
     let pe =
       Telemetry.span "peak-energy" (fun () ->
           Peak_energy.of_tree ?cache:algo_cache pa tree
-            ~loop_bound:config.loop_bound)
+            ~trace:pp_result.Peak_power.trace ~loop_bound:config.loop_bound)
     in
     {
       image;

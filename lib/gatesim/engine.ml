@@ -119,7 +119,6 @@ type compiled = {
   c_prog : int array;  (* stride 4: [op|out<<4; f0; f1; f2], topo order *)
   c_fo_off : int array;  (* per net: offset into c_fo_pos, length n+1 *)
   c_fo_pos : int array;  (* program positions of combinational readers *)
-  c_ncomb : int;  (* gates in this program *)
   c_pw : int;  (* words in the program-position dirty plane *)
   c_pos : int array;  (* net id -> program position, -1 if not in it *)
   c_comb : int array;  (* bit-plane over net ids: nets in the program *)
@@ -269,8 +268,8 @@ let compile_program nl =
   let all = Array.make pw word_mask in
   if ncomb land 31 <> 0 && pw > 0 then
     all.(pw - 1) <- (1 lsl (ncomb land 31)) - 1;
-  { c_prog = prog; c_fo_off = fo_off; c_fo_pos = fo_pos; c_ncomb = ncomb;
-    c_pw = pw; c_pos = pos_of; c_comb = comb; c_all = all }
+  { c_prog = prog; c_fo_off = fo_off; c_fo_pos = fo_pos; c_pw = pw;
+    c_pos = pos_of; c_comb = comb; c_all = all }
 
 let build_tables nl =
   let n = Netlist.gate_count nl in
@@ -852,630 +851,3 @@ let of_snapshot t s =
   let e = create_like t in
   restore e s;
   e
-
-(* ---------------------------------------------------------------------
-   Gang simulation: up to 32 independent simulations of the SAME netlist
-   evaluated in one pass of the compiled kernel.
-
-   Sibling branches of the symbolic execution tree run the same gate
-   program on slightly divergent state, so the per-cycle costs that are
-   O(netlist) regardless of how much changed — the X-propagation
-   sensitization pass, dirty scanning, fanout traversal — can be
-   amortized across a whole gang. The layout transposes the scalar
-   engine's packing: where the scalar engine stores 32 *nets* per word,
-   the gang stores one word per net holding 32 *lanes* (bit [l] of the
-   value/unknown word of net [i] is lane [l]'s trit, X normalized to
-   v = 0). Gate evaluation then runs on {!Tri.Lanes} formulas: a handful
-   of word-wide boolean ops compute the Kleene connective for all lanes
-   at once, and the dirty plane is shared — a gate is re-evaluated when
-   *any* lane marked it, which costs nothing extra because evaluation is
-   word-parallel anyway.
-
-   Memory, the Zobrist digest, cycle counters and external drive levels
-   stay per-lane. Lanes are loaded from ordinary (cycle-boundary) engine
-   snapshots and extracted back into snapshots either mid-cycle (when a
-   lane hits a fork, so a scalar engine can resolve both arms) or at a
-   boundary (truncation); an extracted snapshot restored into a scalar
-   engine continues bit-identically, which the differential suite checks
-   in lockstep.
-
-   Per-cycle record collection matches the scalar engine exactly: the
-   [mark] plane (nets touched this cycle, by stores or activity setting)
-   is a superset of every net with a delta or X-active bit, and since
-   untouched nets provably equal their previous-cycle values, scanning
-   marked nets in ascending order yields the same delta/X-active lists
-   the scalar full-plane scan produces. *)
-
-module Gang = struct
-  type outcome = Cycle of Trace.cycle | Forked of snapshot
-
-  type g = {
-    e : t;  (* prototype: compiled tables only; its mutable state is unused *)
-    width : int;
-    mutable live : int;  (* lane bitmask *)
-    (* lane-word state: one word per net (or per flop), bit l = lane l *)
-    lvv : int array;
-    lvx : int array;
-    lpv : int array;  (* previous-cycle values *)
-    lpx : int array;
-    mutable lav : int array;  (* this-cycle activity *)
-    mutable lpav : int array;  (* previous-cycle activity *)
-    ldnv : int array;  (* pending flop values, indexed like nl.dffs *)
-    ldnx : int array;
-    gdirty : int array;  (* program-position dirty plane, shared scan *)
-    ldirty : int array;
-        (* per-gate pending lane mask, indexed by program position. A
-           gate output is recomputed ONLY in lanes whose fanins changed:
-           lanes are independent event-driven simulations, so a lane
-           whose inputs are quiet must keep its stale value — the scalar
-           engine relies on exactly this to hold forced fork decisions
-           (out <> f(in) until an input event), and boundary snapshots
-           carry such states. A full-word recompute would clobber
-           them. *)
-    mutable mark : int array;  (* net-id plane: nets touched this cycle *)
-    mutable markp : int array;  (* nets touched previous cycle *)
-    (* per-lane simulation identity *)
-    mems : Mem.t array;
-    hash : int array;
-    rdrive : int array;
-    pdrive : int array array;
-    cyc : int array;
-    (* cached external drive lane-words: slot 0 = reset, j+1 = port j *)
-    drv_v : int array;
-    drv_x : int array;
-    (* scratch *)
-    rtmp_v : int array;  (* per rdata bit, during the memory read *)
-    rtmp_x : int array;
-    dbuf : int array array;  (* per-lane delta collection *)
-    xbuf : int array array;
-    dn : int array;
-    xn : int array;
-  }
-
-  let width g = g.width
-  let live_count g = Tri.Plane.popcount g.live
-  let has_free g = g.live <> (1 lsl g.width) - 1
-
-  let create e ~width =
-    let width = max 1 (min 32 width) in
-    let n = Netlist.gate_count e.nl in
-    let ndffs = Netlist.dff_count e.nl in
-    {
-      e;
-      width;
-      live = 0;
-      lvv = Array.make n 0;
-      lvx = Array.make n 0;
-      lpv = Array.make n 0;
-      lpx = Array.make n 0;
-      lav = Array.make n 0;
-      lpav = Array.make n 0;
-      ldnv = Array.make ndffs 0;
-      ldnx = Array.make ndffs 0;
-      gdirty = Array.make e.tb.tb_full.c_pw 0;
-      ldirty = Array.make e.tb.tb_full.c_ncomb 0;
-      mark = Array.make e.tb.tb_nw 0;
-      markp = Array.make e.tb.tb_nw 0;
-      mems = Array.init width (fun _ -> Mem.like e.mem_);
-      hash = Array.make width 0;
-      rdrive = Array.make width xcode;
-      pdrive =
-        Array.init width (fun _ ->
-            Array.make (Array.length e.ports.port_in) xcode);
-      cyc = Array.make width 0;
-      drv_v = Array.make (1 + Array.length e.ports.port_in) 0;
-      drv_x = Array.make (1 + Array.length e.ports.port_in) 0;
-      rtmp_v = Array.make (Array.length e.ports.mem_rdata) 0;
-      rtmp_x = Array.make (Array.length e.ports.mem_rdata) 0;
-      dbuf = Array.init width (fun _ -> Array.make n 0);
-      xbuf = Array.init width (fun _ -> Array.make n 0);
-      dn = Array.make width 0;
-      xn = Array.make width 0;
-    }
-
-  let[@inline] lane_code g id l =
-    ((Array.unsafe_get g.lvv id lsr l) land 1)
-    lor (((Array.unsafe_get g.lvx id lsr l) land 1) lsl 1)
-
-  let[@inline] mark_net g id =
-    let w = id lsr 5 in
-    Array.unsafe_set g.mark w
-      (Array.unsafe_get g.mark w lor (1 lsl (id land 31)))
-
-  (* Mark fanouts dirty in exactly the [lanes] whose driver changed. *)
-  let[@inline] mark_fanouts_g g id lanes =
-    let dirty = g.gdirty and ldirty = g.ldirty in
-    let full = g.e.tb.tb_full in
-    let stop = Array.unsafe_get full.c_fo_off (id + 1) in
-    for k = Array.unsafe_get full.c_fo_off id to stop - 1 do
-      let pos = Array.unsafe_get full.c_fo_pos k in
-      let w = pos lsr 5 in
-      Array.unsafe_set dirty w
-        (Array.unsafe_get dirty w lor (1 lsl (pos land 31)));
-      Array.unsafe_set ldirty pos (Array.unsafe_get ldirty pos lor lanes)
-    done
-
-  (* Write a lane word into net [id]: store + dirty marks only when a
-     live lane actually changed; [hash_slot >= 0] folds each changed
-     live lane's old/new codes into that lane's Zobrist hash (external
-     drives — mirrors the scalar [drive]). *)
-  let store_lanes g id nv nx ~hash_slot =
-    let ov = Array.unsafe_get g.lvv id and ox = Array.unsafe_get g.lvx id in
-    let changed = ((ov lxor nv) lor (ox lxor nx)) land g.live in
-    if changed <> 0 then begin
-      if hash_slot >= 0 then begin
-        let c = ref changed in
-        while !c <> 0 do
-          let l = Tri.Plane.ctz !c in
-          c := !c land (!c - 1);
-          let oc = ((ov lsr l) land 1) lor (((ox lsr l) land 1) lsl 1) in
-          let nc = ((nv lsr l) land 1) lor (((nx lsr l) land 1) lsl 1) in
-          g.hash.(l) <-
-            g.hash.(l) lxor Zhash.key hash_slot oc lxor Zhash.key hash_slot nc
-        done
-      end;
-      Array.unsafe_set g.lvv id nv;
-      Array.unsafe_set g.lvx id nx;
-      mark_fanouts_g g id changed;
-      mark_net g id
-    end
-
-  (* Word-parallel settle over the shared dirty plane — the scalar
-     [eval_pass] with {!Tri.Lanes} formulas instead of table lookups. *)
-  let eval_g g =
-    let e = g.e in
-    let dirty = g.gdirty and prog = e.tb.tb_full.c_prog in
-    let lvv = g.lvv and lvx = g.lvx in
-    let live = g.live in
-    let pw = e.tb.tb_full.c_pw in
-    let words = ref 0 in
-    let w = ref 0 in
-    while !w < pw do
-      let bits = Array.unsafe_get dirty !w in
-      incr words;
-      if bits = 0 then incr w
-      else begin
-        Array.unsafe_set dirty !w (bits land (bits - 1));
-        let k = (!w lsl 5) lor Tri.Plane.ctz bits in
-        let lmask = Array.unsafe_get g.ldirty k land live in
-        Array.unsafe_set g.ldirty k 0;
-        if lmask <> 0 then begin
-          let p = k lsl 2 in
-          let hd = Array.unsafe_get prog p in
-          let op = hd land 15 in
-          let out = hd lsr 4 in
-          let f0 = Array.unsafe_get prog (p + 1) in
-          let f1 = Array.unsafe_get prog (p + 2) in
-          let av = Array.unsafe_get lvv f0 and ax = Array.unsafe_get lvx f0 in
-          let bv = Array.unsafe_get lvv f1 and bx = Array.unsafe_get lvx f1 in
-          let nv, nx =
-            if op = op_and then Tri.Lanes.and_ av ax bv bx
-            else if op = op_or then Tri.Lanes.or_ av ax bv bx
-            else if op = op_nand then Tri.Lanes.nand av ax bv bx
-            else if op = op_nor then Tri.Lanes.nor av ax bv bx
-            else if op = op_xor then Tri.Lanes.xor_ av ax bv bx
-            else if op = op_xnor then Tri.Lanes.xnor av ax bv bx
-            else
-              let f2 = Array.unsafe_get prog (p + 3) in
-              Tri.Lanes.mux av ax bv bx
-                (Array.unsafe_get lvv f2)
-                (Array.unsafe_get lvx f2)
-          in
-          let ov = Array.unsafe_get lvv out and ox = Array.unsafe_get lvx out in
-          (* Merge-store: only lanes with an input event take the fresh
-             value; quiet lanes keep theirs (see [ldirty]). *)
-          let nv = (ov land lnot lmask) lor (nv land lmask) in
-          let nx = (ox land lnot lmask) lor (nx land lmask) in
-          let changed = (ov lxor nv) lor (ox lxor nx) in
-          if changed <> 0 then begin
-            Array.unsafe_set lvv out nv;
-            Array.unsafe_set lvx out nx;
-            mark_fanouts_g g out changed;
-            mark_net g out
-          end
-        end
-      end
-    done;
-    Telemetry.Counter.add c_words !words
-
-  let lane_sample g l bus =
-    Tri.Word.of_trits (Array.map (fun id -> Tri.of_int (lane_code g id l)) bus)
-
-  (* The scalar [begin_cycle] for all live lanes: clock edge, external
-     drives, settle, combinational memory read, settle. Returns the mask
-     of live lanes whose branch-decision net settled to X. *)
-  let begin_g g =
-    let e = g.e in
-    let islot = e.tb.tb_islot in
-    let dffs = e.nl.Netlist.dffs in
-    for i = 0 to Array.length dffs - 1 do
-      store_lanes g
-        (Array.unsafe_get dffs i)
-        (Array.unsafe_get g.ldnv i)
-        (Array.unsafe_get g.ldnx i)
-        ~hash_slot:(-1)
-    done;
-    store_lanes g e.ports.reset g.drv_v.(0) g.drv_x.(0)
-      ~hash_slot:islot.(e.ports.reset);
-    Array.iteri
-      (fun j id ->
-        store_lanes g id g.drv_v.(j + 1) g.drv_x.(j + 1) ~hash_slot:islot.(id))
-      e.ports.port_in;
-    eval_g g;
-    (* Combinational memory read. Per lane: ren 0 = bus keeper (lane
-       bits keep their value), 1 = read through the map, X = all-X. *)
-    let renv = g.lvv.(e.ports.mem_ren) and renx = g.lvx.(e.ports.mem_ren) in
-    let need = (renv lor renx) land g.live in
-    if need <> 0 then begin
-      let rd = e.ports.mem_rdata in
-      let nrd = Array.length rd in
-      for j = 0 to nrd - 1 do
-        g.rtmp_v.(j) <- g.lvv.(rd.(j));
-        g.rtmp_x.(j) <- g.lvx.(rd.(j))
-      done;
-      let lanes = ref need in
-      while !lanes <> 0 do
-        let l = Tri.Plane.ctz !lanes in
-        lanes := !lanes land (!lanes - 1);
-        let bit = 1 lsl l and nbit = lnot (1 lsl l) in
-        if (renv lsr l) land 1 = 1 then begin
-          let addr = lane_sample g l e.ports.mem_addr in
-          let data = Mem.read g.mems.(l) addr in
-          for j = 0 to nrd - 1 do
-            match Tri.Word.bit data j with
-            | Tri.Zero ->
-              g.rtmp_v.(j) <- g.rtmp_v.(j) land nbit;
-              g.rtmp_x.(j) <- g.rtmp_x.(j) land nbit
-            | Tri.One ->
-              g.rtmp_v.(j) <- g.rtmp_v.(j) lor bit;
-              g.rtmp_x.(j) <- g.rtmp_x.(j) land nbit
-            | Tri.X ->
-              g.rtmp_v.(j) <- g.rtmp_v.(j) land nbit;
-              g.rtmp_x.(j) <- g.rtmp_x.(j) lor bit
-          done
-        end
-        else
-          for j = 0 to nrd - 1 do
-            g.rtmp_v.(j) <- g.rtmp_v.(j) land nbit;
-            g.rtmp_x.(j) <- g.rtmp_x.(j) lor bit
-          done
-      done;
-      for j = 0 to nrd - 1 do
-        store_lanes g rd.(j) g.rtmp_v.(j) g.rtmp_x.(j)
-          ~hash_slot:islot.(rd.(j))
-      done
-    end;
-    eval_g g;
-    match e.ports.fork_net with
-    | Some f -> g.lvx.(f) land g.live
-    | None -> 0
-
-  (* The scalar [finish_cycle] for all live lanes. [emit l cycle] is
-     called for each live lane in ascending order. *)
-  let finish_g g emit =
-    let e = g.e in
-    let nl = e.nl in
-    let tb = e.tb in
-    let dff_e = tb.tb_dff_e and dff_f0 = tb.tb_dff_f0 and dff_f1 = tb.tb_dff_f1 in
-    let live = g.live in
-    let lvv = g.lvv and lvx = g.lvx and lpv = g.lpv and lpx = g.lpx in
-    (* Pending flop values; two XORs per changed live lane and slot. *)
-    let dffs = nl.Netlist.dffs in
-    for i = 0 to Array.length dffs - 1 do
-      let nv, nx =
-        if Bytes.unsafe_get dff_e i = '\000' then
-          let d = Array.unsafe_get dff_f0 i in
-          (Array.unsafe_get lvv d, Array.unsafe_get lvx d)
-        else
-          let en = Array.unsafe_get dff_f0 i in
-          let d = Array.unsafe_get dff_f1 i in
-          let q = Array.unsafe_get dffs i in
-          Tri.Lanes.dffe_next
-            (Array.unsafe_get lvv en) (Array.unsafe_get lvx en)
-            (Array.unsafe_get lvv d) (Array.unsafe_get lvx d)
-            (Array.unsafe_get lvv q) (Array.unsafe_get lvx q)
-      in
-      let ov = Array.unsafe_get g.ldnv i and ox = Array.unsafe_get g.ldnx i in
-      let changed = ((ov lxor nv) lor (ox lxor nx)) land live in
-      if changed <> 0 then begin
-        let c = ref changed in
-        while !c <> 0 do
-          let l = Tri.Plane.ctz !c in
-          c := !c land (!c - 1);
-          let oc = ((ov lsr l) land 1) lor (((ox lsr l) land 1) lsl 1) in
-          let nc = ((nv lsr l) land 1) lor (((nx lsr l) land 1) lsl 1) in
-          g.hash.(l) <- g.hash.(l) lxor Zhash.key i oc lxor Zhash.key i nc
-        done;
-        Array.unsafe_set g.ldnv i nv;
-        Array.unsafe_set g.ldnx i nx
-      end
-    done;
-    (* Synchronous memory write, per live lane. *)
-    let wen = e.ports.mem_wen in
-    let lanes = ref live in
-    while !lanes <> 0 do
-      let l = Tri.Plane.ctz !lanes in
-      lanes := !lanes land (!lanes - 1);
-      let wc = lane_code g wen l in
-      if wc <> 0 then
-        Mem.write g.mems.(l) ~strobe:(Tri.of_int wc)
-          (lane_sample g l e.ports.mem_addr)
-          (lane_sample g l e.ports.mem_wdata)
-    done;
-    (* Activity. Base case over marked nets (unmarked nets cannot have
-       changed), then the X-special and X-propagation passes — all
-       word-parallel across lanes. *)
-    let lav = g.lav and lpav = g.lpav in
-    let mark = g.mark in
-    let nw = tb.tb_nw in
-    for w = 0 to nw - 1 do
-      let b = ref (Array.unsafe_get mark w) in
-      while !b <> 0 do
-        let i = (w lsl 5) lor Tri.Plane.ctz !b in
-        b := !b land (!b - 1);
-        Array.unsafe_set lav i
-          ((Array.unsafe_get lvv i lxor Array.unsafe_get lpv i)
-          lor (Array.unsafe_get lvx i lxor Array.unsafe_get lpx i))
-      done
-    done;
-    Array.iter
-      (fun id ->
-        let cand = Array.unsafe_get lvx id land lnot (Array.unsafe_get lav id) in
-        if cand <> 0 then begin
-          Array.unsafe_set lav id (Array.unsafe_get lav id lor cand);
-          mark_net g id
-        end)
-      nl.Netlist.inputs;
-    let gf0 = tb.tb_gf0 in
-    for i = 0 to Array.length dffs - 1 do
-      let id = Array.unsafe_get dffs i in
-      let cand = Array.unsafe_get lvx id land lnot (Array.unsafe_get lav id) in
-      if cand <> 0 then begin
-        let f0 = Array.unsafe_get gf0 id in
-        let act =
-          if Bytes.unsafe_get dff_e i = '\000' then Array.unsafe_get lpav f0
-          else Array.unsafe_get lpv f0 lor Array.unsafe_get lpx f0
-        in
-        let add = cand land act in
-        if add <> 0 then begin
-          Array.unsafe_set lav id (Array.unsafe_get lav id lor add);
-          mark_net g id
-        end
-      end
-    done;
-    let prog = tb.tb_full.c_prog in
-    let ncomb = tb.tb_full.c_ncomb in
-    for k = 0 to ncomb - 1 do
-      let p = k lsl 2 in
-      let hd = Array.unsafe_get prog p in
-      let out = hd lsr 4 in
-      let cand =
-        Array.unsafe_get lvx out land lnot (Array.unsafe_get lav out)
-      in
-      if cand <> 0 then begin
-        let f0 = Array.unsafe_get prog (p + 1) in
-        let any =
-          if hd land 15 < 6 then
-            Array.unsafe_get lav f0
-            lor Array.unsafe_get lav (Array.unsafe_get prog (p + 2))
-          else begin
-            let sv = Array.unsafe_get lvv f0 and sx = Array.unsafe_get lvx f0 in
-            let a1 = Array.unsafe_get lav (Array.unsafe_get prog (p + 2)) in
-            let a2 = Array.unsafe_get lav (Array.unsafe_get prog (p + 3)) in
-            Array.unsafe_get lav f0
-            lor (lnot (sv lor sx) land a1)
-            lor (sv land a2)
-            lor (sx land (a1 lor a2))
-          end
-        in
-        let add = cand land any in
-        if add <> 0 then begin
-          Array.unsafe_set lav out (Array.unsafe_get lav out lor add);
-          mark_net g out
-        end
-      end
-    done;
-    (* Delta / X-active collection: ascending marked nets, fanned out
-       into per-lane buffers — same element order as the scalar scan. *)
-    let lanes = ref live in
-    while !lanes <> 0 do
-      let l = Tri.Plane.ctz !lanes in
-      lanes := !lanes land (!lanes - 1);
-      g.dn.(l) <- 0;
-      g.xn.(l) <- 0
-    done;
-    for w = 0 to nw - 1 do
-      let b = ref (Array.unsafe_get mark w) in
-      while !b <> 0 do
-        let i = (w lsl 5) lor Tri.Plane.ctz !b in
-        b := !b land (!b - 1);
-        let diff =
-          (Array.unsafe_get lvv i lxor Array.unsafe_get lpv i)
-          lor (Array.unsafe_get lvx i lxor Array.unsafe_get lpx i)
-        in
-        let dl = ref (diff land live) in
-        while !dl <> 0 do
-          let l = Tri.Plane.ctz !dl in
-          dl := !dl land (!dl - 1);
-          let old_c =
-            ((Array.unsafe_get lpv i lsr l) land 1)
-            lor (((Array.unsafe_get lpx i lsr l) land 1) lsl 1)
-          in
-          let buf = Array.unsafe_get g.dbuf l in
-          Array.unsafe_set buf g.dn.(l)
-            (Trace.pack ~net:i ~old_v:old_c ~new_v:(lane_code g i l));
-          g.dn.(l) <- g.dn.(l) + 1
-        done;
-        let xl = ref (Array.unsafe_get lav i land lnot diff land live) in
-        while !xl <> 0 do
-          let l = Tri.Plane.ctz !xl in
-          xl := !xl land (!xl - 1);
-          let buf = Array.unsafe_get g.xbuf l in
-          Array.unsafe_set buf g.xn.(l) i;
-          g.xn.(l) <- g.xn.(l) + 1
-        done
-      done
-    done;
-    (* Commit previous-cycle planes for touched nets, rotate activity
-       (this cycle's [lav] becomes [lpav]; the incoming [lav] is zeroed
-       on its old support) and swap the mark planes. *)
-    for w = 0 to nw - 1 do
-      let b = ref (Array.unsafe_get mark w) in
-      while !b <> 0 do
-        let i = (w lsl 5) lor Tri.Plane.ctz !b in
-        b := !b land (!b - 1);
-        Array.unsafe_set lpv i (Array.unsafe_get lvv i);
-        Array.unsafe_set lpx i (Array.unsafe_get lvx i)
-      done
-    done;
-    let fresh_av = g.lpav in
-    g.lpav <- g.lav;
-    g.lav <- fresh_av;
-    let mp = g.markp in
-    for w = 0 to nw - 1 do
-      let b = ref (Array.unsafe_get mp w) in
-      if !b <> 0 then begin
-        while !b <> 0 do
-          let i = (w lsl 5) lor Tri.Plane.ctz !b in
-          b := !b land (!b - 1);
-          Array.unsafe_set fresh_av i 0
-        done;
-        Array.unsafe_set mp w 0
-      end
-    done;
-    g.markp <- g.mark;
-    g.mark <- mp;
-    (* Per-lane cycle records. *)
-    Telemetry.Counter.add c_cycles (Tri.Plane.popcount live);
-    let lanes = ref live in
-    while !lanes <> 0 do
-      let l = Tri.Plane.ctz !lanes in
-      lanes := !lanes land (!lanes - 1);
-      g.cyc.(l) <- g.cyc.(l) + 1;
-      emit l
-        {
-          Trace.deltas = Array.sub g.dbuf.(l) 0 g.dn.(l);
-          x_active = Array.sub g.xbuf.(l) 0 g.xn.(l);
-          pc = lane_sample g l e.ports.pc;
-          state = lane_sample g l e.ports.state;
-          ir = lane_sample g l e.ports.ir;
-        }
-    done
-
-  let retire g l = g.live <- g.live land lnot (1 lsl l)
-
-  (* Lane -> scalar snapshot. Mid-cycle extraction (at a fork) carries
-     the settled mid-cycle values; a scalar engine restoring it can
-     [force_fork] + [finish_cycle] exactly as if it had simulated the
-     whole cycle itself. *)
-  let extract_lane g l ~mid =
-    let e = g.e in
-    let n = Netlist.gate_count e.nl in
-    let nw = e.tb.tb_nw in
-    let vv = Array.make nw 0 and vx = Array.make nw 0 in
-    let vb = Bytes.create n in
-    let pv = Array.make nw 0 and px = Array.make nw 0 in
-    let pav = Array.make nw 0 in
-    for i = 0 to n - 1 do
-      let w = i lsr 5 and b = i land 31 in
-      bset vb i (lane_code g i l);
-      let set pl src =
-        Array.unsafe_set pl w
-          (Array.unsafe_get pl w
-          lor (((Array.unsafe_get src i lsr l) land 1) lsl b))
-      in
-      set vv g.lvv;
-      set vx g.lvx;
-      set pv g.lpv;
-      set px g.lpx;
-      set pav g.lpav
-    done;
-    {
-      s_vv = vv;
-      s_vx = vx;
-      s_vb = vb;
-      s_pv = pv;
-      s_px = px;
-      s_av = Array.make nw 0;  (* rewritten wholesale by finish_cycle *)
-      s_pav = pav;
-      s_dirty = Array.make e.tb.tb_full.c_pw 0;  (* settled *)
-      s_dff_next =
-        Array.init (Netlist.dff_count e.nl) (fun i ->
-            ((g.ldnv.(i) lsr l) land 1) lor (((g.ldnx.(i) lsr l) land 1) lsl 1));
-      s_mem = Mem.snapshot g.mems.(l);
-      s_hash = g.hash.(l);
-      s_reset_drive = g.rdrive.(l);
-      s_port_drive = Array.copy g.pdrive.(l);
-      s_cycle = g.cyc.(l);
-      s_mid = mid;
-    }
-
-  let extract g l = extract_lane g l ~mid:false
-
-  (* Load a cycle-boundary snapshot into a free lane. O(nets). *)
-  let load g (s : snapshot) =
-    if s.s_mid then invalid_arg "Engine.Gang.load: mid-cycle snapshot";
-    let free = lnot g.live land ((1 lsl g.width) - 1) in
-    if free = 0 then invalid_arg "Engine.Gang.load: no free lane";
-    let l = Tri.Plane.ctz free in
-    let bit = 1 lsl l in
-    let nbit = lnot bit in
-    let e = g.e in
-    let n = Netlist.gate_count e.nl in
-    for i = 0 to n - 1 do
-      let w = i lsr 5 and b = i land 31 in
-      let put dst src =
-        if (Array.unsafe_get src w lsr b) land 1 = 1 then
-          Array.unsafe_set dst i (Array.unsafe_get dst i lor bit)
-        else Array.unsafe_set dst i (Array.unsafe_get dst i land nbit)
-      in
-      put g.lvv s.s_vv;
-      put g.lvx s.s_vx;
-      put g.lpv s.s_pv;
-      put g.lpx s.s_px;
-      (* [lpav] rotates into [lav] next cycle; record its new support in
-         [markp] so the rotation zeroes these bits on schedule. *)
-      if (Array.unsafe_get s.s_pav w lsr b) land 1 = 1 then begin
-        g.lpav.(i) <- g.lpav.(i) lor bit;
-        g.markp.(w) <- g.markp.(w) lor (1 lsl b)
-      end
-      else g.lpav.(i) <- g.lpav.(i) land nbit
-    done;
-    for i = 0 to Netlist.dff_count e.nl - 1 do
-      let c = Array.unsafe_get s.s_dff_next i in
-      g.ldnv.(i) <-
-        (g.ldnv.(i) land nbit) lor ((c land 1) lsl l);
-      g.ldnx.(i) <- (g.ldnx.(i) land nbit) lor ((c lsr 1) lsl l)
-    done;
-    Mem.restore g.mems.(l) s.s_mem;
-    g.hash.(l) <- s.s_hash;
-    g.rdrive.(l) <- s.s_reset_drive;
-    Array.blit s.s_port_drive 0 g.pdrive.(l) 0 (Array.length s.s_port_drive);
-    g.cyc.(l) <- s.s_cycle;
-    let set_drv k c =
-      g.drv_v.(k) <- (g.drv_v.(k) land nbit) lor ((c land 1) lsl l);
-      g.drv_x.(k) <- (g.drv_x.(k) land nbit) lor ((c lsr 1) lsl l)
-    in
-    set_drv 0 s.s_reset_drive;
-    Array.iteri (fun j c -> set_drv (j + 1) c) s.s_port_drive;
-    g.live <- g.live lor bit;
-    l
-
-  (* One synchronized cycle for every live lane. Lanes whose
-     branch-decision net settles to X are extracted mid-cycle and
-     retired ([Forked]); the rest complete the cycle ([Cycle]). *)
-  let step g emit =
-    if g.live = 0 then invalid_arg "Engine.Gang.step: no live lanes";
-    let fmask = begin_g g in
-    let forked = ref [] in
-    let f = ref fmask in
-    while !f <> 0 do
-      let l = Tri.Plane.ctz !f in
-      f := !f land (!f - 1);
-      let snap = extract_lane g l ~mid:true in
-      retire g l;
-      forked := (l, snap) :: !forked
-    done;
-    finish_g g (fun l c -> emit l (Cycle c));
-    List.iter (fun (l, s) -> emit l (Forked s)) (List.rev !forked)
-end

@@ -120,56 +120,3 @@ val create_like : t -> t
 
 (** [of_snapshot t s] = [create_like t] + [restore] of [s]. *)
 val of_snapshot : t -> snapshot -> t
-
-(** Gang simulation: up to 32 independent simulations of the same
-    netlist advanced one synchronized cycle at a time in a single pass
-    of the compiled kernel.
-
-    The gang transposes the engine's plane packing: one word per net,
-    bit [l] carrying lane [l]'s trit ({!Tri.Lanes}), so gate evaluation,
-    dirty scanning, fanout traversal and the X-propagation pass are
-    word-parallel across lanes and their O(netlist) costs amortize over
-    the gang. Memory, Zobrist digests, cycle counts and drive levels
-    stay per-lane. The symbolic explorer uses a gang to settle sibling
-    branches of the execution tree together; the differential suite
-    checks gang lanes in lockstep against scalar engines.
-
-    Lanes are loaded from cycle-boundary {!snapshot}s and extracted back
-    as snapshots, either at a boundary ({!extract}) or mid-cycle when
-    the lane's branch-decision net went X ([Forked]); restoring an
-    extracted snapshot into a scalar engine continues bit-identically
-    (after a fork: [force_fork] + [finish_cycle]). *)
-module Gang : sig
-  type g
-
-  type outcome =
-    | Cycle of Trace.cycle  (** the lane completed the cycle *)
-    | Forked of snapshot
-        (** the lane's branch net settled to X: mid-cycle snapshot,
-            lane auto-retired *)
-
-  (** [create e ~width] — a gang of [width] lanes (clamped to 1..32),
-      all free, sharing [e]'s compiled tables. *)
-  val create : t -> width:int -> g
-
-  val width : g -> int
-  val live_count : g -> int
-  val has_free : g -> bool
-
-  (** [load g s] installs cycle-boundary snapshot [s] into the lowest
-      free lane and returns its index. O(nets). Raises
-      [Invalid_argument] if [s] is mid-cycle or no lane is free. *)
-  val load : g -> snapshot -> int
-
-  (** [extract g l] — boundary snapshot of live lane [l] (the lane stays
-      live; pair with {!retire} to evict). O(nets). *)
-  val extract : g -> int -> snapshot
-
-  val retire : g -> int -> unit
-
-  (** [step g emit] advances every live lane one cycle. [emit] is called
-      once per (initially) live lane, [Cycle] lanes first then [Forked]
-      lanes, each group in ascending lane order. Raises
-      [Invalid_argument] if no lane is live. *)
-  val step : g -> (int -> outcome -> unit) -> unit
-end

@@ -3,7 +3,6 @@ type config = {
   max_cycles_per_path : int;
   max_paths : int;
   revisit_limit : int;
-  gang_width : int;
 }
 
 let default_config ~is_end =
@@ -12,7 +11,6 @@ let default_config ~is_end =
     max_cycles_per_path = 20_000;
     max_paths = 4_096;
     revisit_limit = 0;
-    gang_width = 16;
   }
 
 type stats = {
@@ -58,13 +56,10 @@ let arch_digest e =
   else Engine.arch_digest e
 
 (* Fork-arm scheduling: spawned = handed to the pool as a stealable
-   task, inlined = kept on the spawning task's local stack. The
-   gang-width histogram records how many sibling branches each compiled
-   gang pass settled together. *)
+   task, inlined = kept on the spawning task's local stack. *)
 let c_spawned = Telemetry.Counter.make "sym.forks_spawned"
 let c_stolen = Telemetry.Counter.make "sym.forks_stolen"
 let c_inlined = Telemetry.Counter.make "sym.forks_inlined"
-let h_gang_width = Telemetry.Histogram.make "sym.gang_width"
 
 (* ---------------------------------------------------------------------
    Task-parallel exploration with deferred sequential commit.
@@ -77,10 +72,9 @@ let h_gang_width = Telemetry.Histogram.make "sym.gang_width"
    it will fill in. Work items are directly stealable: when the pool is
    hungry the taken arm is spawned as a task (with an O(1) {!Seen.fork}
    of the overlay); otherwise both arms stay on the task's local LIFO
-   stack, which preserves depth-first order. A task with several local
-   branches packs them into the lanes of an {!Engine.Gang} and settles
-   them with one pass of the compiled kernel per cycle; a lone branch
-   runs on the scalar fast path. Tasks never block — they only simulate
+   stack, which preserves depth-first order. A task pops its branches
+   one at a time and simulates each on its slot's scratch engine until
+   the branch ends or forks. Tasks never block — they only simulate
    and spawn — so every pool worker is either simulating or stealing.
 
    Speculative dedup decisions may differ from the sequential run's
@@ -143,7 +137,6 @@ type sched = {
      slot belongs to one domain, and tasks never block, so a domain runs
      one task at a time and helping cannot re-enter a slot mid-use. *)
   scratch : Engine.t option array;
-  gangs : Engine.Gang.g option array;
   stop : bool Atomic.t;
   est_paths : int Atomic.t;
       (* speculative path-end count; an over-estimate of the committed
@@ -157,12 +150,7 @@ type sched = {
 type tstate = {
   t_seen : Seen.t;
   mutable t_pending : work list;
-  mutable t_npending : int;
 }
-
-type lane = { l_seg : seg; mutable l_len : int }
-
-let gang_width_of cfg = max 1 (min 32 cfg.gang_width)
 
 let cycle_limit_exn cfg =
   Path_limit
@@ -171,50 +159,33 @@ let cycle_limit_exn cfg =
 let worker_slot sd =
   match sd.pool with Some p -> Parallel.Pool.worker_index p | None -> 0
 
-(* The calling slot's entry of [arr], built by [make] on first use. A
-   domain that took its pool slot after this run sized the arrays gets
-   a fresh one per use. *)
-let per_slot sd arr make =
-  let i = worker_slot sd in
-  if i >= Array.length arr then make ()
-  else
-    match arr.(i) with
-    | Some v -> v
-    | None ->
-      let v = make () in
-      arr.(i) <- Some v;
-      v
-
+(* The calling slot's scratch engine, built on first use. A domain that
+   took its pool slot after this run sized the array gets a fresh one
+   per use. *)
 let scratch_of sd =
-  per_slot sd sd.scratch (fun () -> Engine.create_like sd.proto)
-
-let gang_of sd =
-  per_slot sd sd.gangs (fun () ->
-      Engine.Gang.create sd.proto ~width:(gang_width_of sd.cfg))
+  let i = worker_slot sd in
+  let make () = Engine.create_like sd.proto in
+  if i >= Array.length sd.scratch then make ()
+  else
+    match sd.scratch.(i) with
+    | Some e -> e
+    | None ->
+      let e = make () in
+      sd.scratch.(i) <- Some e;
+      e
 
 let note_path sd =
   Atomic.incr sd.est_paths;
   if Atomic.get sd.est_paths > sd.cfg.max_paths then Atomic.set sd.stop true
 
-let push_work ts w =
-  ts.t_pending <- w :: ts.t_pending;
-  ts.t_npending <- ts.t_npending + 1
-
-let pop_work ts =
-  match ts.t_pending with
-  | [] -> None
-  | w :: rest ->
-    ts.t_pending <- rest;
-    ts.t_npending <- ts.t_npending - 1;
-    Some w
+let push_work ts w = ts.t_pending <- w :: ts.t_pending
 
 let drain_pending ts =
   List.iter
     (fun w ->
       w.w_seg.s_term <- T_unexplored { u_snap = w.w_snap; u_len = w.w_len })
     ts.t_pending;
-  ts.t_pending <- [];
-  ts.t_npending <- 0
+  ts.t_pending <- []
 
 (* Resolve one arm of a fork on [e] (positioned at the fork's settled
    mid-cycle state): force the decision net, finish the cycle, take the
@@ -281,8 +252,8 @@ let rec resolve_fork sd ts seg mid_snap len_at_fork =
   end;
   if needs_work nt then push_work ts (work_of nt)
 
-(* Straight-line fast path: a lone branch simulates on the scalar
-   scratch engine with no gang overhead. *)
+(* Simulate one branch on the slot's scratch engine until it ends,
+   forks or hits a limit. *)
 and run_scalar sd ts w =
   let e = scratch_of sd in
   Engine.restore e w.w_snap;
@@ -312,121 +283,19 @@ and run_scalar sd ts w =
   in
   go ()
 
-(* Gang path: pack the pending branches into lanes and settle them all
-   with one compiled-kernel pass per cycle. Lanes retire on path end,
-   limit, or fork (forks re-queue their arms, refilling the gang). *)
-and run_gang sd ts =
-  let g = gang_of sd in
-  let lanes : lane option array = Array.make (Engine.Gang.width g) None in
-  let drain_lanes () =
-    Array.iteri
-      (fun i st ->
-        match st with
-        | Some st ->
-          st.l_seg.s_term <-
-            T_unexplored { u_snap = Engine.Gang.extract g i; u_len = st.l_len };
-          Engine.Gang.retire g i;
-          lanes.(i) <- None
-        | None -> ())
-      lanes
-  in
-  let refill () =
-    while
-      Engine.Gang.has_free g
-      && ts.t_npending > 0
-      && Engine.Gang.live_count g + ts.t_npending >= 2
-      && not (Atomic.get sd.stop)
-    do
-      match pop_work ts with
-      | None -> assert false
-      | Some w ->
-        if w.w_len > sd.cfg.max_cycles_per_path then begin
-          w.w_seg.s_term <- T_raise (cycle_limit_exn sd.cfg);
-          Atomic.set sd.stop true
-        end
-        else begin
-          let l = Engine.Gang.load g w.w_snap in
-          lanes.(l) <- Some { l_seg = w.w_seg; l_len = w.w_len }
-        end
-    done
-  in
-  let rec loop () =
-    if Atomic.get sd.stop then begin
-      drain_lanes ();
-      drain_pending ts
-    end
-    else begin
-      refill ();
-      let live = Engine.Gang.live_count g in
-      if live = 0 then ()  (* pending (if any) handled by the caller *)
-      else if live = 1 && ts.t_npending = 0 then
-        (* Lone survivor: evict to the scalar fast path. *)
-        Array.iteri
-          (fun i st ->
-            match st with
-            | Some st ->
-              push_work ts
-                {
-                  w_seg = st.l_seg;
-                  w_snap = Engine.Gang.extract g i;
-                  w_len = st.l_len;
-                };
-              Engine.Gang.retire g i;
-              lanes.(i) <- None
-            | None -> ())
-          lanes
-      else begin
-        if Telemetry.enabled () then
-          Telemetry.Histogram.observe h_gang_width (Int64.of_int live);
-        Engine.Gang.step g (fun l o ->
-            match lanes.(l) with
-            | None -> assert false
-            | Some st -> (
-              match o with
-              | Engine.Gang.Cycle c ->
-                st.l_seg.s_cycles_rev <- c :: st.l_seg.s_cycles_rev;
-                if sd.cfg.is_end c then begin
-                  st.l_seg.s_term <- T_end;
-                  note_path sd;
-                  Engine.Gang.retire g l;
-                  lanes.(l) <- None
-                end
-                else begin
-                  st.l_len <- st.l_len + 1;
-                  if st.l_len > sd.cfg.max_cycles_per_path then begin
-                    st.l_seg.s_term <- T_raise (cycle_limit_exn sd.cfg);
-                    Atomic.set sd.stop true;
-                    Engine.Gang.retire g l;
-                    lanes.(l) <- None
-                  end
-                end
-              | Engine.Gang.Forked snap ->
-                (* the gang auto-retired the lane *)
-                lanes.(l) <- None;
-                resolve_fork sd ts st.l_seg snap st.l_len));
-        loop ()
-      end
-    end
-  in
-  loop ()
-
 and task_loop sd ts =
   if Atomic.get sd.stop then drain_pending ts
-  else if ts.t_npending = 0 then ()
-  else if ts.t_npending = 1 || gang_width_of sd.cfg < 2 then begin
-    (match pop_work ts with
-    | Some w -> run_scalar sd ts w
-    | None -> ());
-    task_loop sd ts
-  end
-  else begin
-    run_gang sd ts;
-    task_loop sd ts
-  end
+  else
+    match ts.t_pending with
+    | [] -> ()
+    | w :: rest ->
+      ts.t_pending <- rest;
+      run_scalar sd ts w;
+      task_loop sd ts
 
 and spawn_task sd seen w =
   Telemetry.span ~cat:"sym" "explore" (fun () ->
-      let ts = { t_seen = seen; t_pending = []; t_npending = 0 } in
+      let ts = { t_seen = seen; t_pending = [] } in
       push_work ts w;
       task_loop sd ts)
 
@@ -600,7 +469,6 @@ let run ?pool e config =
       pool;
       proto = e;
       scratch = Array.make nslots None;
-      gangs = Array.make nslots None;
       stop = Atomic.make false;
       est_paths = Atomic.make 0;
     }

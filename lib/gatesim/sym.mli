@@ -17,10 +17,6 @@ type config = {
   revisit_limit : int;
       (** how many times a previously-seen state may be re-explored
           (bounded unrolling for input-dependent loops); 0 = always cut *)
-  gang_width : int;
-      (** how many sibling branches one task packs into an
-          {!Engine.Gang} and settles per compiled-kernel pass (clamped
-          to 1..32; 1 disables gang simulation) *)
 }
 
 val default_config : is_end:(Trace.cycle -> bool) -> config
@@ -38,9 +34,9 @@ exception Path_limit of string
     of every path. The engine must be fresh (cycle 0).
 
     Exploration is task-parallel: every fork arm is a stealable task
-    (O(1) snapshot + O(1) dedup-overlay fork) and a task's local sibling
-    branches are gang-simulated in the lanes of one compiled kernel
-    pass. Dedup decisions taken during exploration are speculative; a
+    (O(1) snapshot + O(1) dedup-overlay fork), and a task simulates its
+    local branches one at a time on a per-worker scratch engine. Dedup
+    decisions taken during exploration are speculative; a
     sequential commit walk then replays the tree in DFS order against
     an authoritative table — demoting over-explored arms and sequentially
     patching up under-explored ones — so the returned tree, registry,

@@ -142,61 +142,6 @@ module Plane = struct
     !acc
 end
 
-(* Lane-parallel Kleene connectives: evaluate the same gate for up to 32
-   independent simulations at once. A lane word pair [(v, x)] holds one
-   trit per bit position — bit [l] of [v]/[x] is the value/unknown bit
-   of lane [l], with the {!Plane} normalization (an X lane carries
-   v = 0). Each connective is a handful of word-wide boolean ops that
-   compute, bit position by bit position, exactly the {!I} truth tables;
-   the test suite checks this exhaustively. The gate simulator's gang
-   kernel ({!Engine.Gang}) packs sibling execution-tree branches into
-   lanes and settles them in one pass with these formulas. *)
-module Lanes = struct
-  let m = 0xFFFFFFFF
-
-  (* known-zero mask: lanes whose trit is 0 (not 1, not X) *)
-  let[@inline] kzero v x = Stdlib.lnot (v lor x) land m
-
-  let[@inline] and_ av ax bv bx =
-    (* 0 dominates; 1 AND 1 = 1; X otherwise *)
-    (av land bv, (ax lor bx) land Stdlib.lnot (kzero av ax lor kzero bv bx))
-
-  let[@inline] or_ av ax bv bx =
-    let v = av lor bv in
-    (v, (ax lor bx) land Stdlib.lnot v)
-
-  let[@inline] not_ v x = (kzero v x, x)
-
-  let[@inline] nand av ax bv bx =
-    let v, x = and_ av ax bv bx in
-    not_ v x
-
-  let[@inline] nor av ax bv bx =
-    let v, x = or_ av ax bv bx in
-    not_ v x
-
-  let[@inline] xor_ av ax bv bx =
-    let x = ax lor bx in
-    ((av lxor bv) land Stdlib.lnot x, x)
-
-  let[@inline] xnor av ax bv bx =
-    let v, x = xor_ av ax bv bx in
-    not_ v x
-
-  (* mux sel a b: a when sel=0, b when sel=1; on sel=X the output is the
-     common value when both data lanes agree (same code), else X. *)
-  let[@inline] mux sv sx av ax bv bx =
-    let s0 = kzero sv sx in
-    let eq = Stdlib.lnot ((av lxor bv) lor (ax lxor bx)) land m in
-    ( (s0 land av) lor (sv land bv) lor (sx land eq land av),
-      (s0 land ax) lor (sv land bx) lor (sx land ((eq land ax) lor (Stdlib.lnot eq land m))) )
-
-  (* Enable-flop next-state: hold q on en=0, load d on en=1; on en=X the
-     flop keeps q only when d and q agree, else goes X. Same selection
-     structure as [mux] with (q, d) as the data legs. *)
-  let[@inline] dffe_next env enx dv dx qv qx = mux env enx qv qx dv dx
-end
-
 module Word = struct
   type tri = t
 

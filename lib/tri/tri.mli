@@ -85,44 +85,11 @@ module Plane : sig
       code 2, not 3). *)
   val set : int array -> int array -> int -> int -> unit
 
-  (** Population count of one 32-bit word. *)
-  val popcount : int -> int
-
   (** Index of the lowest set bit of a nonzero 32-bit word. *)
   val ctz : int -> int
 
   (** [count_x x ~n] — how many of the first [n] trits are X. *)
   val count_x : int array -> n:int -> int
-end
-
-(** {1 Lane-parallel connectives}
-
-    Word-parallel Kleene logic over {e lane words}: a [(v, x)] pair of
-    ints holding one trit per bit position (bit [l] is lane [l], X
-    normalized to [v = 0], 32 lanes per word). Each function computes
-    the corresponding {!I} connective independently in every bit
-    position with a few word-wide boolean operations — the evaluation
-    core of the gate simulator's gang kernel, which packs sibling
-    execution branches into adjacent lanes. Lanes whose inputs violate
-    the normalization produce garbage in that lane only; other lanes are
-    unaffected (all operations are bitwise). *)
-
-module Lanes : sig
-  val and_ : int -> int -> int -> int -> int * int
-  val or_ : int -> int -> int -> int -> int * int
-  val nand : int -> int -> int -> int -> int * int
-  val nor : int -> int -> int -> int -> int * int
-  val xor_ : int -> int -> int -> int -> int * int
-  val xnor : int -> int -> int -> int -> int * int
-  val not_ : int -> int -> int * int
-
-  (** [mux sv sx av ax bv bx] — per lane: [a] when sel is 0, [b] when 1;
-      on X, the common value if the data lanes agree, else X. *)
-  val mux : int -> int -> int -> int -> int -> int -> int * int
-
-  (** [dffe_next env enx dv dx qv qx] — per lane: hold [q] on enable 0,
-      load [d] on 1; on X keep [q] only if [d] and [q] agree, else X. *)
-  val dffe_next : int -> int -> int -> int -> int -> int -> int * int
 end
 
 (** {1 Trit words}

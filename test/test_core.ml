@@ -115,6 +115,95 @@ let test_peak_energy_fork_takes_max () =
     (a.Core.Analyze.peak_energy.Core.Peak_energy.cycles
     > Array.length a.Core.Analyze.power_trace / 2)
 
+(* The peak-energy fold as it stood before segments were summed from
+   the Peak_power trace: every cycle's maximum power recomputed from its
+   record, every Seen unroll re-summed. The reference for the trace-fed,
+   memoized walk. *)
+let reference_peak_energy pa (tree : Gatesim.Trace.tree) ~loop_bound =
+  let module SMap = Map.Make (String) in
+  let period = Poweran.period pa in
+  let bounded = ref 0 in
+  let seg_cost cycles =
+    Array.fold_left
+      (fun (e, n) cy -> (e +. (Poweran.cycle_power_max pa cy *. period), n + 1))
+      (0., 0) cycles
+  in
+  let rec go node budgets =
+    match node with
+    | Gatesim.Trace.Run { cycles; next } ->
+      let e, n = seg_cost cycles in
+      let e', n' = go next budgets in
+      (e +. e', n + n')
+    | Gatesim.Trace.Fork { not_taken; taken } ->
+      let e0, n0 = go not_taken budgets in
+      let e1, n1 = go taken budgets in
+      if e1 > e0 then (e1, n1) else (e0, n0)
+    | Gatesim.Trace.End_path -> (0., 0)
+    | Gatesim.Trace.Seen d -> (
+      let remaining =
+        match SMap.find_opt d budgets with Some r -> r | None -> loop_bound
+      in
+      if remaining <= 0 then begin
+        if loop_bound <= 0 then raise (Core.Peak_energy.Unbounded d);
+        incr bounded;
+        (0., 0)
+      end
+      else
+        match Hashtbl.find_opt tree.Gatesim.Trace.registry d with
+        | None -> (0., 0)
+        | Some r -> go !r (SMap.add d (remaining - 1) budgets))
+  in
+  let energy, cycles = go tree.Gatesim.Trace.root SMap.empty in
+  (energy, cycles, !bounded)
+
+(* On every paper and extended kernel, and on an input-dependent
+   polling loop — the kernels' worst paths never run through a [Seen]
+   unroll, the loop's always do — the trace-fed walk must reproduce the
+   reference bit for bit, at the kernel's loop bound and at others. *)
+let test_peak_energy_reference () =
+  let pa = Lazy.force pa in
+  let check name (a : Core.Analyze.t) loop_bounds =
+    List.iter
+      (fun loop_bound ->
+        let got =
+          Core.Peak_energy.of_tree pa a.Core.Analyze.tree
+            ~trace:a.Core.Analyze.power_trace ~loop_bound
+        in
+        let energy, cycles, bounded =
+          reference_peak_energy pa a.Core.Analyze.tree ~loop_bound
+        in
+        let msg what = Printf.sprintf "%s loop_bound %d: %s" name loop_bound what in
+        Alcotest.(check bool)
+          (msg "energy bit-identical") true
+          (Float.equal energy got.Core.Peak_energy.energy);
+        Alcotest.(check int) (msg "cycles") cycles got.Core.Peak_energy.cycles;
+        Alcotest.(check int) (msg "bounded loops") bounded
+          got.Core.Peak_energy.bounded_loops)
+      loop_bounds
+  in
+  List.iter
+    (fun b ->
+      let config =
+        {
+          Core.Analyze.default_config with
+          Core.Analyze.loop_bound = b.Benchprogs.Bench.loop_bound;
+          max_paths = b.Benchprogs.Bench.max_paths;
+        }
+      in
+      let a = Core.Analyze.run ~config pa cpu (Benchprogs.Bench.assemble b) in
+      check b.Benchprogs.Bench.name a [ 1; config.Core.Analyze.loop_bound ])
+    (Benchprogs.Bench.all @ Benchprogs.Extended.all);
+  let poll =
+    Tsupport.prologue
+    @ [
+        Asm.Label "poll";
+        i (Insn.I1 (Insn.MOV, Insn.S_abs (Insn.Lit input_addr), Insn.D_reg 4));
+        i (Insn.I1 (Insn.AND, Insn.S_imm (Insn.Lit 1), Insn.D_reg 4));
+        i (Insn.J (Insn.JNE, Insn.Sym "poll"));
+      ]
+  in
+  check "polling loop" (snd (analyze poll)) [ 1; 2; 3; 8 ]
+
 let test_evenodd_equivalence () =
   let img = Tsupport.assemble_body (Tsupport.prologue @ [
       i (Insn.I1 (Insn.MOV, Insn.S_abs (Insn.Lit input_addr), Insn.D_reg 4));
@@ -378,6 +467,8 @@ let () =
         [
           Alcotest.test_case "straight line" `Quick test_peak_energy_straightline;
           Alcotest.test_case "fork takes max" `Quick test_peak_energy_fork_takes_max;
+          Alcotest.test_case "trace-fed walk equals reference" `Slow
+            test_peak_energy_reference;
         ] );
       ( "evenodd",
         [

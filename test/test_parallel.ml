@@ -235,12 +235,12 @@ let test_parallel_sym_deterministic name () =
 
 (* The full job-count sweep: the committed tree (every cycle record,
    every dedup digest, the registry) and the stats must be identical at
-   -j1, -j4 and -j8, and independent of the gang width — including
-   gang_width 1, which disables gang simulation entirely. *)
+   -j1, -j2 (the job count of a cold CLI run and of CI), -j4 and -j8. *)
+let pool2 = lazy (Parallel.Pool.create ~jobs:2)
 let pool8 = lazy (Parallel.Pool.create ~jobs:8)
 
 (* CI exports XBOUND_TEST_JOBS (e.g. 2) to extend the sweep with a
-   worker count the fixed -j1/-j4/-j8 grid does not cover. One pool per
+   worker count the fixed -j1/-j2/-j4/-j8 grid does not cover. One pool per
    distinct count, shared across kernels. *)
 let extra_pools : (int, Parallel.Pool.t) Hashtbl.t = Hashtbl.create 4
 
@@ -264,11 +264,11 @@ let test_jobs_sweep name () =
   let b = Benchprogs.Bench.find name in
   let img = Benchprogs.Bench.assemble b in
   let cfg = sym_config b img in
-  let run ?pool cfg =
+  let run ?pool () =
     let e = Tsupport.fresh_engine ~concrete:false img in
     Sym.run ?pool e cfg
   in
-  let tree_ref, stats_ref = run cfg in
+  let tree_ref, stats_ref = run () in
   Alcotest.(check bool) (name ^ ": forks explored") true (stats_ref.Sym.forks > 0);
   let check label (tree, stats) =
     Alcotest.(check bool)
@@ -278,14 +278,13 @@ let test_jobs_sweep name () =
       (Printf.sprintf "%s: tree identical (%s)" name label)
       true (tree_equal tree_ref tree)
   in
-  check "-j1" (run ~pool:(Parallel.Pool.create ~jobs:1) cfg);
-  check "-j4" (run ~pool:(Lazy.force pool4) cfg);
-  check "-j8" (run ~pool:(Lazy.force pool8) cfg);
-  check "-j4 gang_width=1" (run ~pool:(Lazy.force pool4) { cfg with Sym.gang_width = 1 });
-  check "-j8 gang_width=32" (run ~pool:(Lazy.force pool8) { cfg with Sym.gang_width = 32 });
+  check "-j1" (run ~pool:(Parallel.Pool.create ~jobs:1) ());
+  check "-j2" (run ~pool:(Lazy.force pool2) ());
+  check "-j4" (run ~pool:(Lazy.force pool4) ());
+  check "-j8" (run ~pool:(Lazy.force pool8) ());
   match extra_jobs () with
   | Some (j, p) ->
-    check (Printf.sprintf "-j%d (XBOUND_TEST_JOBS)" j) (run ~pool:p cfg)
+    check (Printf.sprintf "-j%d (XBOUND_TEST_JOBS)" j) (run ~pool:p ())
   | None -> ()
 
 let test_parallel_analyze_deterministic () =
@@ -349,7 +348,7 @@ let () =
         @ List.map
             (fun k ->
               Alcotest.test_case
-                ("jobs/gang sweep bit-identical: " ^ k)
+                ("jobs sweep bit-identical: " ^ k)
                 `Slow (test_jobs_sweep k))
             [ "binSearch"; "tHold"; "div" ]
         @ [

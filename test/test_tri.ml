@@ -220,103 +220,6 @@ let properties =
              (Tri.Word.shift_right_arith w n));
   ]
 
-(* --- lane-parallel connectives: exhaustive against the scalar tables ---
-
-   Every lane-word operation must compute the Tri.I truth table
-   independently in each bit position. We lay all code combinations out
-   across the 32 lanes of one word (9 or 27 combos, repeated), so a
-   single application checks every table entry in every alignment. *)
-
-let lanes_word codes =
-  (* codes.(l) = Tri.I code of lane l *)
-  let v = ref 0 and x = ref 0 in
-  Array.iteri
-    (fun l c ->
-      if c land 1 = 1 then v := !v lor (1 lsl l);
-      if c lsr 1 = 1 then x := !x lor (1 lsl l))
-    codes;
-  (!v, !x)
-
-let lane_code v x l = ((v lsr l) land 1) lor (((x lsr l) land 1) lsl 1)
-
-let test_lanes_binary () =
-  let ops =
-    [
-      ("and", Tri.Lanes.and_, Tri.I.land_);
-      ("or", Tri.Lanes.or_, Tri.I.lor_);
-      ("nand", Tri.Lanes.nand, Tri.I.lnand);
-      ("nor", Tri.Lanes.nor, Tri.I.lnor);
-      ("xor", Tri.Lanes.xor_, Tri.I.lxor_);
-      ("xnor", Tri.Lanes.xnor, Tri.I.lxnor);
-    ]
-  in
-  (* all 9 (a, b) code pairs spread across the 32 lanes *)
-  let a_codes = Array.init 32 (fun l -> l mod 9 / 3) in
-  let b_codes = Array.init 32 (fun l -> l mod 9 mod 3) in
-  let av, ax = lanes_word a_codes and bv, bx = lanes_word b_codes in
-  List.iter
-    (fun (name, lanes_op, scalar_op) ->
-      let rv, rx = lanes_op av ax bv bx in
-      for l = 0 to 31 do
-        Alcotest.(check int)
-          (Printf.sprintf "%s lane %d" name l)
-          (scalar_op a_codes.(l) b_codes.(l))
-          (lane_code rv rx l)
-      done)
-    ops
-
-let test_lanes_not () =
-  let codes = Array.init 32 (fun l -> l mod 3) in
-  let v, x = lanes_word codes in
-  let rv, rx = Tri.Lanes.not_ v x in
-  for l = 0 to 31 do
-    Alcotest.(check int)
-      (Printf.sprintf "not lane %d" l)
-      (Tri.I.lnot codes.(l))
-      (lane_code rv rx l)
-  done
-
-let test_lanes_mux () =
-  (* all 27 (sel, a, b) combinations, spread over lanes in two layouts *)
-  List.iter
-    (fun offset ->
-      let s_codes = Array.init 32 (fun l -> (l + offset) mod 27 / 9) in
-      let a_codes = Array.init 32 (fun l -> (l + offset) mod 27 mod 9 / 3) in
-      let b_codes = Array.init 32 (fun l -> (l + offset) mod 27 mod 3) in
-      let sv, sx = lanes_word s_codes in
-      let av, ax = lanes_word a_codes in
-      let bv, bx = lanes_word b_codes in
-      let rv, rx = Tri.Lanes.mux sv sx av ax bv bx in
-      for l = 0 to 31 do
-        Alcotest.(check int)
-          (Printf.sprintf "mux lane %d (offset %d)" l offset)
-          (Tri.I.mux s_codes.(l) a_codes.(l) b_codes.(l))
-          (lane_code rv rx l)
-      done)
-    [ 0; 5; 13 ]
-
-let test_lanes_dffe () =
-  (* reference semantics: en=0 hold, en=1 load, en=X keep only if d=q *)
-  let scalar_dffe en d q =
-    if en = 0 then q else if en = 1 then d else if d = q then q else Tri.I.x
-  in
-  List.iter
-    (fun offset ->
-      let e_codes = Array.init 32 (fun l -> (l + offset) mod 27 / 9) in
-      let d_codes = Array.init 32 (fun l -> (l + offset) mod 27 mod 9 / 3) in
-      let q_codes = Array.init 32 (fun l -> (l + offset) mod 27 mod 3) in
-      let ev, ex = lanes_word e_codes in
-      let dv, dx = lanes_word d_codes in
-      let qv, qx = lanes_word q_codes in
-      let rv, rx = Tri.Lanes.dffe_next ev ex dv dx qv qx in
-      for l = 0 to 31 do
-        Alcotest.(check int)
-          (Printf.sprintf "dffe lane %d (offset %d)" l offset)
-          (scalar_dffe e_codes.(l) d_codes.(l) q_codes.(l))
-          (lane_code rv rx l)
-      done)
-    [ 0; 7; 19 ]
-
 let () =
   Alcotest.run "tri"
     [
@@ -338,13 +241,6 @@ let () =
           Alcotest.test_case "merge" `Quick test_word_merge;
           Alcotest.test_case "shifts" `Quick test_word_shifts;
           Alcotest.test_case "compare" `Quick test_word_compare;
-        ] );
-      ( "lanes",
-        [
-          Alcotest.test_case "binary connectives" `Quick test_lanes_binary;
-          Alcotest.test_case "not" `Quick test_lanes_not;
-          Alcotest.test_case "mux" `Quick test_lanes_mux;
-          Alcotest.test_case "dffe next-state" `Quick test_lanes_dffe;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest properties);
     ]
