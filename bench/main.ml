@@ -106,7 +106,7 @@ let bench_cache pa cpu img =
            ("mem_hits", c.Cache.mem_hits); ("disk_hits", c.Cache.disk_hits);
            ("misses", c.Cache.misses); ("stores", c.Cache.stores);
            ("evictions", c.Cache.evictions); ("corrupt", c.Cache.corrupt);
-           ("joined", c.Cache.joined);
+           ("store_errors", c.Cache.store_errors); ("joined", c.Cache.joined);
          ])
   in
   print_endline ("cache counters (warm): " ^ J.to_string counters);

@@ -21,6 +21,7 @@ let c_misses = Telemetry.Counter.make "cache.misses"
 let c_stores = Telemetry.Counter.make "cache.stores"
 let c_evictions = Telemetry.Counter.make "cache.evictions"
 let c_corrupt = Telemetry.Counter.make "cache.corrupt"
+let c_store_errors = Telemetry.Counter.make "cache.store_errors"
 let c_joined = Telemetry.Counter.make "cache.joined"
 let h_wait = Telemetry.Histogram.make "cache.wait_ns"
 
@@ -31,8 +32,11 @@ type counters = {
   mutable stores : int;
   mutable evictions : int;
   mutable corrupt : int;
+  mutable store_errors : int;
   mutable joined : int;
 }
+
+type layer = Both | Memory | Disk
 
 (* Intrusive doubly-linked LRU list; [head] is most recently used. *)
 type entry = {
@@ -74,12 +78,20 @@ let create ?dir ?(mem_entries = 64) () =
         stores = 0;
         evictions = 0;
         corrupt = 0;
+        store_errors = 0;
         joined = 0;
       };
   }
 
 let dir t = t.dir_
 let counters t = t.c
+
+(* One event, in the cache's counters and their telemetry mirror. *)
+let bump t incr ctr =
+  Mutex.lock t.m;
+  incr t.c;
+  Mutex.unlock t.m;
+  Telemetry.Counter.incr ctr
 
 let reset_counters t =
   Mutex.lock t.m;
@@ -89,6 +101,7 @@ let reset_counters t =
   t.c.stores <- 0;
   t.c.evictions <- 0;
   t.c.corrupt <- 0;
+  t.c.store_errors <- 0;
   t.c.joined <- 0;
   Mutex.unlock t.m
 
@@ -190,19 +203,17 @@ let disk_load t ~ns ~key =
       | v -> Some v
       | exception _ ->
         (try Sys.remove file with Sys_error _ -> ());
-        Mutex.lock t.m;
-        t.c.corrupt <- t.c.corrupt + 1;
-        Mutex.unlock t.m;
-        Telemetry.Counter.incr c_corrupt;
+        bump t (fun c -> c.corrupt <- c.corrupt + 1) c_corrupt;
         None)
 
 (* Atomic publish: write the full entry to a temp file in the same
    directory, then rename over the final name. A concurrent reader sees
-   either no file or a complete one. Best-effort: a full disk or
-   unwritable directory silently degrades to no persistence. *)
+   either no file or a complete one. A full disk or an unwritable
+   directory degrades to no persistence: the failure is counted in
+   [store_errors], the temp file removed, and [false] returned. *)
 let disk_store t ~ns ~key v =
   match t.dir_ with
-  | None -> ()
+  | None -> false
   | Some dir -> (
     try
       Telemetry.span ~cat:"cache" "cache.disk_store" (fun () ->
@@ -211,18 +222,22 @@ let disk_store t ~ns ~key v =
           mkdir_p shard_dir;
           let payload = Marshal.to_string v [] in
           let tmp = Filename.temp_file ~temp_dir:shard_dir "xbcache" ".tmp" in
-          Out_channel.with_open_bin tmp (fun oc ->
-              output_string oc magic;
-              output_binary_int oc (String.length ns);
-              output_string oc ns;
-              output_string oc (Digest.string payload);
-              output_string oc payload);
-          Sys.rename tmp file);
-      Mutex.lock t.m;
-      t.c.stores <- t.c.stores + 1;
-      Mutex.unlock t.m;
-      Telemetry.Counter.incr c_stores
-    with Sys_error _ | Sys_blocked_io -> ())
+          try
+            Out_channel.with_open_bin tmp (fun oc ->
+                output_string oc magic;
+                output_binary_int oc (String.length ns);
+                output_string oc ns;
+                output_string oc (Digest.string payload);
+                output_string oc payload);
+            Sys.rename tmp file
+          with e ->
+            (try Sys.remove tmp with Sys_error _ -> ());
+            raise e);
+      bump t (fun c -> c.stores <- c.stores + 1) c_stores;
+      true
+    with Sys_error _ | Sys_blocked_io ->
+      bump t (fun c -> c.store_errors <- c.store_errors + 1) c_store_errors;
+      false)
 
 let is_hex s =
   String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
@@ -252,7 +267,7 @@ let entry_dirs dir =
            then Some sub
            else None)
 
-(* One row per entry kind ("analysis", "symtree", "block", ...), keyed
+(* One row per entry kind ("symtree", "peak-power", "block", ...), keyed
    by the namespace component of the entry name, so `cache stats` can
    show where the bytes live and namespace-scoped semantics stay
    auditable. *)
@@ -370,7 +385,11 @@ let abandon t full_key =
   Condition.broadcast t.cv;
   Mutex.unlock t.m
 
-let memo t ~ns ~key f =
+(* A [Disk] value stays out of the LRU once the disk holds it: its
+   [In_flight] slot is dropped instead of published, and callers that
+   waited on it then load it from disk. Without a disk to hold it, it is
+   kept in memory like [Both]. *)
+let memo ?(layer = Both) t ~ns ~key f =
   let full_key = ns ^ ":" ^ key in
   Mutex.lock t.m;
   match acquire t full_key with
@@ -379,23 +398,19 @@ let memo t ~ns ~key f =
     Obj.obj v
   | None -> (
     Mutex.unlock t.m;
-    match disk_load t ~ns ~key with
+    match if layer = Memory then None else disk_load t ~ns ~key with
     | Some v ->
-      Mutex.lock t.m;
-      t.c.disk_hits <- t.c.disk_hits + 1;
-      Mutex.unlock t.m;
-      Telemetry.Counter.incr c_disk_hits;
-      publish t full_key (Obj.repr v);
+      bump t (fun c -> c.disk_hits <- c.disk_hits + 1) c_disk_hits;
+      if layer = Disk then abandon t full_key
+      else publish t full_key (Obj.repr v);
       v
     | None -> (
-      Mutex.lock t.m;
-      t.c.misses <- t.c.misses + 1;
-      Mutex.unlock t.m;
-      Telemetry.Counter.incr c_misses;
+      bump t (fun c -> c.misses <- c.misses + 1) c_misses;
       match f () with
       | v ->
-        disk_store t ~ns ~key v;
-        publish t full_key (Obj.repr v);
+        let on_disk = layer <> Memory && disk_store t ~ns ~key v in
+        if layer = Disk && on_disk then abandon t full_key
+        else publish t full_key (Obj.repr v);
         v
       | exception e ->
         abandon t full_key;

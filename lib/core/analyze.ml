@@ -63,12 +63,21 @@ let engine_for cpu image ~symbolic =
    identical between cached and fresh runs.
 
    The keys come from [Key]: the tree key once per call, and the
-   Algorithm 2 base key only when the analysis itself misses. *)
+   Algorithm 2 base key only when the analysis itself misses.
+
+   With a cache, each artifact is stored once. The tree, the peak-power
+   trace and the peak-energy result are [Disk] entries; the whole
+   result is a [Memory] composite of them, rebuilt from the three on a
+   memory miss (a disk hit explores nothing and reruns no Algorithm 2).
+   The LRU thus holds one tree per analysis, and the disk holds one
+   tree-sized entry. On a memory-only cache all four live in memory, so
+   a rerun that only changes the loop bound reuses the tree. *)
 let run ?(config = default_config) ?pool ?cache pa cpu
     (image : Isa.Asm.image) =
   Telemetry.span "analyze" @@ fun () ->
   let pool = match pool with Some _ as p -> p | None -> Parallel.auto () in
   let explore () =
+    Telemetry.span "explore" @@ fun () ->
     let e = engine_for cpu image ~symbolic:true in
     let sym_config =
       {
@@ -83,9 +92,7 @@ let run ?(config = default_config) ?pool ?cache pa cpu
     Gatesim.Sym.run ?pool e sym_config
   in
   let compute ~tree_memo ~algo_cache () =
-    let tree, sym_stats =
-      Telemetry.span "explore" (fun () -> tree_memo explore)
-    in
+    let tree, sym_stats = tree_memo explore in
     let pp_result =
       Telemetry.span "peak-power" (fun () ->
           Peak_power.of_tree ?cache:algo_cache pa tree)
@@ -113,13 +120,13 @@ let run ?(config = default_config) ?pool ?cache pa cpu
       Key.tree ~revisit_limit:config.revisit_limit ~max_paths:config.max_paths
         ~max_cycles_per_path:config.max_cycles_per_path cpu image
     in
-    Cache.memo c ~ns:"analysis"
+    Cache.memo ~layer:Memory c ~ns:"analysis"
       ~key:(Key.analysis ~tree pa ~loop_bound:config.loop_bound)
       (fun () ->
         (* the peak power/energy memos hang off the tree + power
            context; Peak_energy appends the loop bound itself *)
         compute
-          ~tree_memo:(fun f -> Cache.memo c ~ns:"symtree" ~key:tree f)
+          ~tree_memo:(fun f -> Cache.memo ~layer:Disk c ~ns:"symtree" ~key:tree f)
           ~algo_cache:(Some (c, Key.algorithm2 ~tree pa))
           ())
 

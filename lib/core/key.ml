@@ -4,8 +4,11 @@ type t = Cache.Key.t
 
 (* 2: compiled gate-evaluation kernel — dedup digests switched from MD5
    serialization to incremental Zobrist hashes, so cached trees from
-   version 1 reference stale digest strings. *)
-let analysis_version = 2
+   version 1 reference stale digest strings.
+   3: the "peak-power" entry stores the power trace and its peak only,
+   not the flattened cycles, and the "analysis" entry is no longer
+   written to disk. *)
+let analysis_version = 3
 let static_version = 1
 
 let cpu =

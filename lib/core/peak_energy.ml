@@ -141,4 +141,5 @@ let of_tree ?cache pa tree ~trace ~loop_bound =
     (* the caller's key covers the tree and the power context; the loop
        bound is this analysis's own knob *)
     let key = Cache.Key.combine [ key; "loop_bound"; string_of_int loop_bound ] in
-    Cache.memo c ~ns:"peak-energy" ~key (fun () -> of_tree_fresh pa tree ~trace ~loop_bound)
+    Cache.memo ~layer:Disk c ~ns:"peak-energy" ~key (fun () ->
+        of_tree_fresh pa tree ~trace ~loop_bound)

@@ -92,33 +92,12 @@ end
    that an unknown trit carries [v_bit = 0] (the same normalization as
    {!Word}), so codes are exactly {!I.zero}/{!I.one}/{!I.x} and two
    planes are element-wise equal iff the words of both planes are
-   equal. Word-wide operations (diff, population counts, blits) replace
+   equal. Word-wide operations (diffs, blits) replace
    per-trit loops in the simulator's compiled kernel. *)
 module Plane = struct
-  let word_bits = 32
   let words n = (n + 31) lsr 5
 
   let make n = (Array.make (words n) 0, Array.make (words n) 0)
-
-  let get v x i =
-    let w = i lsr 5 and b = i land 31 in
-    ((Array.unsafe_get v w lsr b) land 1)
-    lor (((Array.unsafe_get x w lsr b) land 1) lsl 1)
-
-  let set v x i code =
-    let w = i lsr 5 and b = i land 31 in
-    let m = Stdlib.lnot (1 lsl b) in
-    Array.unsafe_set v w
-      ((Array.unsafe_get v w land m) lor ((code land 1) lsl b));
-    Array.unsafe_set x w
-      ((Array.unsafe_get x w land m) lor ((code lsr 1) lsl b))
-
-  (* SWAR popcount of a 32-bit word. *)
-  let popcount w =
-    let w = w - ((w lsr 1) land 0x55555555) in
-    let w = (w land 0x33333333) + ((w lsr 2) land 0x33333333) in
-    let w = (w + (w lsr 4)) land 0x0F0F0F0F in
-    (w * 0x01010101) lsr 24 land 0x3F
 
   (* Index of the lowest set bit of a nonzero 32-bit word (de Bruijn
      multiplication; branch-free). *)
@@ -128,18 +107,6 @@ module Plane = struct
 
   let ctz w =
     Array.unsafe_get ctz_table (((w land -w) * 0x077CB531) lsr 27 land 31)
-
-  (* Number of X trits among the first [n] (an X-density scan: one
-     popcount per 32 trits). *)
-  let count_x x ~n =
-    let full = n lsr 5 in
-    let acc = ref 0 in
-    for w = 0 to full - 1 do
-      acc := !acc + popcount (Array.unsafe_get x w)
-    done;
-    if n land 31 <> 0 then
-      acc := !acc + popcount (x.(full) land ((1 lsl (n land 31)) - 1));
-    !acc
 end
 
 module Word = struct

@@ -66,30 +66,18 @@ end
     word [i lsr 5]. Codes are the {!I} encoding with the invariant that
     an X trit carries a 0 value bit, so planes are element-wise equal
     iff equal word by word — the representation behind the gate
-    simulator's compiled kernel, where snapshots, diffs and X-density
-    scans are word-wide operations. *)
+    simulator's compiled kernel, where snapshots and diffs are
+    word-wide operations. *)
 
 module Plane : sig
-  val word_bits : int
-
   (** [words n] — plane length in words for [n] trits. *)
   val words : int -> int
 
   (** [make n] — a [(v, x)] plane pair of [n] trits, all [Zero]. *)
   val make : int -> int array * int array
 
-  (** [get v x i] — the {!I} code of trit [i]. *)
-  val get : int array -> int array -> int -> int
-
-  (** [set v x i code] — store an {!I} code (X must be normalized:
-      code 2, not 3). *)
-  val set : int array -> int array -> int -> int -> unit
-
   (** Index of the lowest set bit of a nonzero 32-bit word. *)
   val ctz : int -> int
-
-  (** [count_x x ~n] — how many of the first [n] trits are X. *)
-  val count_x : int array -> n:int -> int
 end
 
 (** {1 Trit words}

@@ -1,7 +1,8 @@
 (* Tests for the content-addressed analysis cache: key discipline
    (binary / config / version perturbation), corruption tolerance,
    single-flight under the domain pool, cached-vs-fresh determinism,
-   and LRU eviction. *)
+   the store-once layout of an exact analysis, failed stores, and LRU
+   eviction. *)
 
 let tmpdir () =
   let d = Filename.temp_file "xbound-test-cache" "" in
@@ -198,6 +199,13 @@ let test_exception_not_stored () =
 
 (* ---------------- determinism & disk round-trip ---------------- *)
 
+(* [f ()] under a fresh telemetry sink: its value, and whether it ran an
+   exploration. *)
+let explored f =
+  let s = Telemetry.create () in
+  let v = Telemetry.with_ambient s f in
+  (v, List.exists (fun e -> e.Telemetry.name = "explore") (Telemetry.events s))
+
 let test_determinism_and_incremental () =
   let cpu, pa = Lazy.force env in
   let img = image 25 in
@@ -215,8 +223,11 @@ let test_determinism_and_incremental () =
   let warm = Core.Analyze.run ~config ~cache:c2 pa cpu img in
   Alcotest.(check string)
     "warm = fresh" (result_digest fresh) (result_digest warm);
-  Alcotest.(check int) "warm is one disk hit" 1 (Cache.counters c2).Cache.disk_hits;
-  Alcotest.(check int) "warm recomputes nothing" 0 (Cache.counters c2).Cache.misses;
+  (* the three stored artifacts, and the in-memory composite rebuilt
+     from them: nothing is explored or recomputed *)
+  Alcotest.(check int) "warm is three disk hits" 3 (Cache.counters c2).Cache.disk_hits;
+  Alcotest.(check int) "warm rebuilds only the composite" 1
+    (Cache.counters c2).Cache.misses;
   (* changing loop_bound (an Algorithm 2 knob) must reuse the stored
      exploration tree and peak-power artifacts, recompute the rest *)
   let config' = { config with Core.Analyze.loop_bound = 8 } in
@@ -232,6 +243,86 @@ let test_determinism_and_incremental () =
   Cache.clear c3;
   Alcotest.(check (pair int int)) "cleared" (0, 0) (Cache.disk_stats c3);
   rm_rf dir
+
+(* ---------------- store-once layout ---------------- *)
+
+(* A cold exact analysis of [image 25] into a fresh directory: the
+   directory and the fresh (uncached) result. *)
+let cold_dir () =
+  let cpu, pa = Lazy.force env in
+  let img = image 25 in
+  let dir = tmpdir () in
+  ignore (Core.Analyze.run ~config ~cache:(Cache.create ~dir ()) pa cpu img);
+  (dir, Core.Analyze.run ~config pa cpu img)
+
+let artifacts = [ "symtree"; "peak-power"; "peak-energy" ]
+
+let test_store_once_layout () =
+  let dir, _ = cold_dir () in
+  let rows = Cache.disk_stats_by_ns (Cache.create ~dir ()) in
+  Alcotest.(check (list string)) "one row per artifact, no analysis row"
+    (List.sort compare artifacts) (List.map fst rows);
+  let entries, tree_bytes = List.assoc "symtree" rows in
+  Alcotest.(check int) "one symtree entry" 1 entries;
+  let _, pp_bytes = List.assoc "peak-power" rows in
+  Alcotest.(check bool)
+    (Printf.sprintf "peak-power %d B under 1%% of symtree %d B" pp_bytes tree_bytes)
+    true
+    (100 * pp_bytes < tree_bytes);
+  rm_rf dir
+
+(* A fresh Cache.t on a populated directory is a fresh process: the
+   analysis is rebuilt from the three artifacts, equal to a fresh run,
+   with no exploration. *)
+let test_fresh_process_rebuild () =
+  let cpu, pa = Lazy.force env in
+  let dir, fresh = cold_dir () in
+  let c = Cache.create ~dir () in
+  let warm, ran = explored (fun () -> Core.Analyze.run ~config ~cache:c pa cpu (image 25)) in
+  Alcotest.(check string) "rebuilt = fresh" (result_digest fresh) (result_digest warm);
+  Alcotest.(check bool) "flattened cycles = fresh" true
+    (warm.Core.Analyze.flattened = fresh.Core.Analyze.flattened);
+  Alcotest.(check int) "three disk hits" 3 (Cache.counters c).Cache.disk_hits;
+  Alcotest.(check bool) "no exploration" false ran;
+  rm_rf dir
+
+(* Truncating any one artifact costs that artifact alone: the entry is
+   counted corrupt, recomputed to the fresh result, and written back. *)
+let test_corrupted_artifact () =
+  let cpu, pa = Lazy.force env in
+  let dir, fresh = cold_dir () in
+  List.iter
+    (fun ns ->
+      let file =
+        List.find
+          (fun f -> String.starts_with ~prefix:(ns ^ ".") (Filename.basename f))
+          (entry_files dir)
+      in
+      let size = In_channel.with_open_bin file in_channel_length in
+      Unix.truncate file (size / 2);
+      let c = Cache.create ~dir () in
+      let a = Core.Analyze.run ~config ~cache:c pa cpu (image 25) in
+      Alcotest.(check string) (ns ^ ": = fresh") (result_digest fresh) (result_digest a);
+      Alcotest.(check int) (ns ^ ": corrupt counted") 1 (Cache.counters c).Cache.corrupt;
+      Alcotest.(check int) (ns ^ ": repaired") size
+        (In_channel.with_open_bin file in_channel_length))
+    artifacts;
+  let c = Cache.create ~dir () in
+  ignore (Core.Analyze.run ~config ~cache:c pa cpu (image 25));
+  Alcotest.(check int) "all three load again" 3 (Cache.counters c).Cache.disk_hits;
+  rm_rf dir
+
+(* ---------------- failed stores ---------------- *)
+
+let test_store_error_counted () =
+  let file = Filename.temp_file "xbound-test-cache" "" in
+  let c = Cache.create ~dir:(Filename.concat file "cache") () in
+  let k = Cache.Key.of_string "unwritable" in
+  Alcotest.(check (list int)) "value returned" [ 4 ]
+    (Cache.memo c ~ns:"t" ~key:k (fun () -> [ 4 ]));
+  Alcotest.(check int) "store error counted" 1 (Cache.counters c).Cache.store_errors;
+  Alcotest.(check int) "nothing stored" 0 (Cache.counters c).Cache.stores;
+  Sys.remove file
 
 (* ---------------- corruption tolerance ---------------- *)
 
@@ -293,6 +384,37 @@ let test_single_flight () =
   Alcotest.(check int) "everyone else joined or hit" 7
     (ct.Cache.mem_hits + ct.Cache.joined)
 
+(* A [Disk] entry keeps its in-flight slot while it computes, so it is
+   computed once; callers that waited load it from disk, and memory
+   never holds it. *)
+let test_disk_layer_single_flight () =
+  let dir = tmpdir () in
+  let c = Cache.create ~dir () in
+  let pool = Parallel.Pool.create ~jobs:4 in
+  let runs = Atomic.make 0 in
+  let k = Cache.Key.of_string "disk-flight" in
+  let results =
+    Parallel.Pool.map_list pool
+      (fun _ ->
+        Cache.memo ~layer:Cache.Disk c ~ns:"t" ~key:k (fun () ->
+            Atomic.incr runs;
+            Unix.sleepf 0.05;
+            42))
+      (List.init 8 Fun.id)
+  in
+  Alcotest.(check (list int)) "all callers get the value" (List.init 8 (fun _ -> 42)) results;
+  Alcotest.(check int) "computation ran exactly once" 1 (Atomic.get runs);
+  let ct = Cache.counters c in
+  Alcotest.(check (list int)) "one miss, one store, no memory hit" [ 1; 1; 0 ]
+    [ ct.Cache.misses; ct.Cache.stores; ct.Cache.mem_hits ];
+  Alcotest.(check int) "the others loaded it from disk" 7 ct.Cache.disk_hits;
+  (* without a directory, a [Disk] entry is kept in memory *)
+  let m = Cache.create () in
+  ignore (Cache.memo ~layer:Cache.Disk m ~ns:"t" ~key:k (fun () -> 1));
+  Alcotest.(check int) "memory-only: kept in memory" 1
+    (Cache.memo ~layer:Cache.Disk m ~ns:"t" ~key:k (fun () -> 2));
+  rm_rf dir
+
 (* ---------------- LRU eviction ---------------- *)
 
 let test_lru_eviction () =
@@ -311,6 +433,22 @@ let test_lru_eviction () =
   ignore (get 2);
   Alcotest.(check int) "resident key is a hit" 4 !calls
 
+(* The LRU holds one composite per exact analysis, not its artifacts:
+   two analyses fit in two entries. *)
+let test_lru_holds_composites () =
+  let cpu, pa = Lazy.force env in
+  let dir = tmpdir () in
+  let c = Cache.create ~dir ~mem_entries:2 () in
+  let run k = ignore (Core.Analyze.run ~config ~cache:c pa cpu (image k)) in
+  run 25;
+  run 26;
+  Cache.reset_counters c;
+  run 25;
+  let ct = Cache.counters c in
+  Alcotest.(check (list int)) "mem hit, no disk hit, no miss" [ 1; 0; 0 ]
+    [ ct.Cache.mem_hits; ct.Cache.disk_hits; ct.Cache.misses ];
+  rm_rf dir
+
 let () =
   Alcotest.run "cache"
     [
@@ -327,8 +465,21 @@ let () =
           Alcotest.test_case "determinism + incremental" `Slow
             test_determinism_and_incremental;
           Alcotest.test_case "corruption" `Quick test_corrupted_entry_is_a_miss;
+          Alcotest.test_case "store-once layout" `Quick test_store_once_layout;
+          Alcotest.test_case "fresh-process rebuild" `Quick
+            test_fresh_process_rebuild;
+          Alcotest.test_case "corrupted artifact" `Quick test_corrupted_artifact;
+          Alcotest.test_case "store error" `Quick test_store_error_counted;
         ] );
       ( "concurrency",
-        [ Alcotest.test_case "single-flight" `Quick test_single_flight ] );
-      ( "lru", [ Alcotest.test_case "eviction" `Quick test_lru_eviction ] );
+        [
+          Alcotest.test_case "single-flight" `Quick test_single_flight;
+          Alcotest.test_case "disk-layer single-flight" `Quick
+            test_disk_layer_single_flight;
+        ] );
+      ( "lru",
+        [
+          Alcotest.test_case "eviction" `Quick test_lru_eviction;
+          Alcotest.test_case "holds composites" `Quick test_lru_holds_composites;
+        ] );
     ]
