@@ -36,8 +36,6 @@ type counters = {
   mutable joined : int;
 }
 
-type layer = Both | Memory | Disk
-
 (* Intrusive doubly-linked LRU list; [head] is most recently used. *)
 type entry = {
   ekey : string;
@@ -210,10 +208,10 @@ let disk_load t ~ns ~key =
    directory, then rename over the final name. A concurrent reader sees
    either no file or a complete one. A full disk or an unwritable
    directory degrades to no persistence: the failure is counted in
-   [store_errors], the temp file removed, and [false] returned. *)
+   [store_errors] and the temp file removed. *)
 let disk_store t ~ns ~key v =
   match t.dir_ with
-  | None -> false
+  | None -> ()
   | Some dir -> (
     try
       Telemetry.span ~cat:"cache" "cache.disk_store" (fun () ->
@@ -233,11 +231,9 @@ let disk_store t ~ns ~key v =
           with e ->
             (try Sys.remove tmp with Sys_error _ -> ());
             raise e);
-      bump t (fun c -> c.stores <- c.stores + 1) c_stores;
-      true
+      bump t (fun c -> c.stores <- c.stores + 1) c_stores
     with Sys_error _ | Sys_blocked_io ->
-      bump t (fun c -> c.store_errors <- c.store_errors + 1) c_store_errors;
-      false)
+      bump t (fun c -> c.store_errors <- c.store_errors + 1) c_store_errors)
 
 let is_hex s =
   String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
@@ -267,10 +263,9 @@ let entry_dirs dir =
            then Some sub
            else None)
 
-(* One row per entry kind ("symtree", "peak-power", "block", ...), keyed
-   by the namespace component of the entry name, so `cache stats` can
-   show where the bytes live and namespace-scoped semantics stay
-   auditable. *)
+(* One row per entry kind ("analysis", "block"), keyed by the namespace
+   component of the entry name, so `cache stats` can show where the
+   bytes live and namespace-scoped semantics stay auditable. *)
 let disk_stats_by_ns t =
   match t.dir_ with
   | None -> []
@@ -385,11 +380,7 @@ let abandon t full_key =
   Condition.broadcast t.cv;
   Mutex.unlock t.m
 
-(* A [Disk] value stays out of the LRU once the disk holds it: its
-   [In_flight] slot is dropped instead of published, and callers that
-   waited on it then load it from disk. Without a disk to hold it, it is
-   kept in memory like [Both]. *)
-let memo ?(layer = Both) t ~ns ~key f =
+let memo t ~ns ~key f =
   let full_key = ns ^ ":" ^ key in
   Mutex.lock t.m;
   match acquire t full_key with
@@ -398,19 +389,17 @@ let memo ?(layer = Both) t ~ns ~key f =
     Obj.obj v
   | None -> (
     Mutex.unlock t.m;
-    match if layer = Memory then None else disk_load t ~ns ~key with
+    match disk_load t ~ns ~key with
     | Some v ->
       bump t (fun c -> c.disk_hits <- c.disk_hits + 1) c_disk_hits;
-      if layer = Disk then abandon t full_key
-      else publish t full_key (Obj.repr v);
+      publish t full_key (Obj.repr v);
       v
     | None -> (
       bump t (fun c -> c.misses <- c.misses + 1) c_misses;
       match f () with
       | v ->
-        let on_disk = layer <> Memory && disk_store t ~ns ~key v in
-        if layer = Disk && on_disk then abandon t full_key
-        else publish t full_key (Obj.repr v);
+        disk_store t ~ns ~key v;
+        publish t full_key (Obj.repr v);
         v
       | exception e ->
         abandon t full_key;

@@ -71,29 +71,19 @@ val dir : t -> string option
     [_xbound_cache] in the working directory. *)
 val default_dir : unit -> string
 
-(** Where {!memo} keeps an entry.
-    - [Both]: the memory LRU and, when persistent, the disk layer.
-    - [Memory]: the memory LRU only, never read from or written to
-      disk: a composite that is cheap to rebuild from other entries.
-    - [Disk]: on a persistent cache, the disk layer only. A disk hit is
-      returned without entering the LRU, and a computed value is written
-      to disk and not kept in memory, so a large artifact that a
-      [Memory] composite already holds is not held twice. On a
-      memory-only cache, or when the disk write fails, the value is kept
-      in the LRU as with [Both]. *)
-type layer = Both | Memory | Disk
-
-(** [memo ?layer t ~ns ~key f] — the cached value for [(ns, key)],
-    computing [f ()] (and storing the result in [layer], default
-    [Both]) on a miss. Safe to call concurrently from any domain;
-    concurrent calls for the same [(ns, key)] run [f] once: a [Disk]
-    entry holds its in-flight slot while it loads or computes, and the
-    callers that waited then load it from disk. If [f] raises, the
-    exception propagates to the caller that ran it, waiters retry (one
-    of them becomes the new computer), and nothing is stored. A failed
-    disk write is counted in [store_errors] and does not fail the
-    call. *)
-val memo : ?layer:layer -> t -> ns:string -> key:Key.t -> (unit -> 'a) -> 'a
+(** [memo t ~ns ~key f] — the cached value for [(ns, key)]: from the
+    memory LRU, else from the disk layer, else computed by [f ()]; a
+    loaded or computed value is then kept in memory and (when
+    persistent) a computed one is written to disk. Safe to call
+    concurrently from any domain; concurrent calls for the same
+    [(ns, key)] run [f] once. Each call counts as exactly one of a
+    memory hit, a single-flight join, a disk hit or a miss, except that
+    when [f] raises, a waiter that then retries and computes also counts
+    a miss: the exception propagates to the caller that ran [f], waiters
+    retry (one of them becomes the new computer), and nothing is stored.
+    A failed disk write is counted in [store_errors] and does not fail
+    the call. *)
+val memo : t -> ns:string -> key:Key.t -> (unit -> 'a) -> 'a
 
 (** Live counters (aggregated across both layers). *)
 val counters : t -> counters
@@ -108,8 +98,7 @@ val disk_stats : t -> int * int
 (** Per-namespace [(ns, (entries, bytes))] rows for the disk layer,
     sorted by namespace — the breakdown behind {!disk_stats}, so the
     [xbound cache stats] output can attribute entries to their kind
-    (symtree, peak-power, peak-energy, block, ...). Empty when
-    memory-only. *)
+    ([analysis], [block]). Empty when memory-only. *)
 val disk_stats_by_ns : t -> (string * (int * int)) list
 
 (** [sum_rows rows] — the [(entries, bytes)] total of

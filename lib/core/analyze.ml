@@ -62,16 +62,9 @@ let engine_for cpu image ~symbolic =
    entries are Marshal round-trips of the same floats — also bit
    identical between cached and fresh runs.
 
-   The keys come from [Key]: the tree key once per call, and the
-   Algorithm 2 base key only when the analysis itself misses.
-
-   With a cache, each artifact is stored once. The tree, the peak-power
-   trace and the peak-energy result are [Disk] entries; the whole
-   result is a [Memory] composite of them, rebuilt from the three on a
-   memory miss (a disk hit explores nothing and reruns no Algorithm 2).
-   The LRU thus holds one tree per analysis, and the disk holds one
-   tree-sized entry. On a memory-only cache all four live in memory, so
-   a rerun that only changes the loop bound reuses the tree. *)
+   With a cache, the whole result is one "analysis" entry. Marshal keeps
+   sharing, so [flattened] costs nothing on top of the tree whose
+   records it holds, and the entry is the size of the tree alone. *)
 let run ?(config = default_config) ?pool ?cache pa cpu
     (image : Isa.Asm.image) =
   Telemetry.span "analyze" @@ fun () ->
@@ -91,16 +84,15 @@ let run ?(config = default_config) ?pool ?cache pa cpu
     in
     Gatesim.Sym.run ?pool e sym_config
   in
-  let compute ~tree_memo ~algo_cache () =
-    let tree, sym_stats = tree_memo explore in
+  let compute () =
+    let tree, sym_stats = explore () in
     let pp_result =
-      Telemetry.span "peak-power" (fun () ->
-          Peak_power.of_tree ?cache:algo_cache pa tree)
+      Telemetry.span "peak-power" (fun () -> Peak_power.of_tree pa tree)
     in
     let pe =
       Telemetry.span "peak-energy" (fun () ->
-          Peak_energy.of_tree ?cache:algo_cache pa tree
-            ~trace:pp_result.Peak_power.trace ~loop_bound:config.loop_bound)
+          Peak_energy.of_tree pa tree ~trace:pp_result.Peak_power.trace
+            ~loop_bound:config.loop_bound)
     in
     {
       image;
@@ -114,21 +106,15 @@ let run ?(config = default_config) ?pool ?cache pa cpu
     }
   in
   match cache with
-  | None -> compute ~tree_memo:(fun f -> f ()) ~algo_cache:None ()
+  | None -> compute ()
   | Some c ->
-    let tree =
-      Key.tree ~revisit_limit:config.revisit_limit ~max_paths:config.max_paths
-        ~max_cycles_per_path:config.max_cycles_per_path cpu image
-    in
-    Cache.memo ~layer:Memory c ~ns:"analysis"
-      ~key:(Key.analysis ~tree pa ~loop_bound:config.loop_bound)
-      (fun () ->
-        (* the peak power/energy memos hang off the tree + power
-           context; Peak_energy appends the loop bound itself *)
-        compute
-          ~tree_memo:(fun f -> Cache.memo ~layer:Disk c ~ns:"symtree" ~key:tree f)
-          ~algo_cache:(Some (c, Key.algorithm2 ~tree pa))
-          ())
+    Cache.memo c ~ns:"analysis"
+      ~key:
+        (Key.analysis ~revisit_limit:config.revisit_limit
+           ~max_paths:config.max_paths
+           ~max_cycles_per_path:config.max_cycles_per_path
+           ~loop_bound:config.loop_bound pa cpu image)
+      compute
 
 (* Symbolic execution of a program fragment: boot the machine with the
    reset vector pointed at [entry] and explore until [is_end]. Because

@@ -45,12 +45,9 @@ val folded_pred : Cpu.t -> int -> bool
 (** [run pa cpu image] — Algorithm 1 (symbolic execution) followed by
     the Section 3.2/3.3 computations. [pool] (default: the ambient
     {!Parallel.auto} pool) parallelizes the tree exploration; the result
-    is bit-identical at any job count. With [cache], the execution
-    tree and the per-algorithm computations are memoized under the
-    {!Key} keys, each stored once: on disk when the cache is
-    persistent, else in memory. The whole result is a memory-only entry
-    rebuilt from them; cached results are bit-identical to fresh
-    ones. *)
+    is bit-identical at any job count. With [cache], the whole result
+    is memoized as one ["analysis"] entry under {!Key.analysis}; cached
+    results are bit-identical to fresh ones. *)
 val run :
   ?config:config ->
   ?pool:Parallel.Pool.t ->

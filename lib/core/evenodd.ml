@@ -139,25 +139,16 @@ let interleave ~even ~odd =
    [replayed] vectors but mutate only their own copies, so the even and
    odd legs run as concurrent futures; interleaving picks fixed indices
    from each, keeping the result independent of the schedule. *)
-let peak_power_via_vcd ?cache pa lib ~initial cycles =
-  let compute () =
-    Telemetry.span "evenodd-vcd" @@ fun () ->
-    let nl = Poweran.netlist pa in
-    let replayed = replay ~initial cycles in
-    let n_cycles = Array.length cycles in
-    let leg parity =
-      let doc = to_vcd nl (maximize lib nl ~parity replayed cycles) in
-      (power_from_vcd pa ~n_cycles doc, doc)
-    in
-    let (even, even_doc), (odd, odd_doc) =
-      Parallel.both_auto (fun () -> leg 0) (fun () -> leg 1)
-    in
-    let trace = interleave ~even ~odd in
-    (trace, even_doc, odd_doc)
+let peak_power_via_vcd pa lib ~initial cycles =
+  Telemetry.span "evenodd-vcd" @@ fun () ->
+  let nl = Poweran.netlist pa in
+  let replayed = replay ~initial cycles in
+  let n_cycles = Array.length cycles in
+  let leg parity =
+    let doc = to_vcd nl (maximize lib nl ~parity replayed cycles) in
+    (power_from_vcd pa ~n_cycles doc, doc)
   in
-  match cache with
-  | None -> compute ()
-  | Some c ->
-    (* [lib] holds a closure — key on its signature, not the value *)
-    let key = Cache.Key.of_value (initial, cycles, Stdcell.signature lib, pa) in
-    Cache.memo c ~ns:"evenodd-vcd" ~key compute
+  let (even, even_doc), (odd, odd_doc) =
+    Parallel.both_auto (fun () -> leg 0) (fun () -> leg 1)
+  in
+  (interleave ~even ~odd, even_doc, odd_doc)

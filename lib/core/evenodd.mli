@@ -37,13 +37,8 @@ val power_from_vcd : Poweran.t -> n_cycles:int -> string -> float array
 val interleave : even:float array -> odd:float array -> float array
 
 (** The full pipeline for one path: returns the interleaved peak power
-    trace and the two VCD documents. With [cache], the whole pipeline is
-    memoized under a digest of the path (initial values + cycles), the
-    library and the power context, so re-running Algorithm 2 with
-    different even/odd settings or on a re-analyzed path skips the VCD
-    construction when nothing changed. *)
+    trace and the two VCD documents. *)
 val peak_power_via_vcd :
-  ?cache:Cache.t ->
   Poweran.t ->
   Stdcell.t ->
   initial:int array ->

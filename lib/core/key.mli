@@ -25,8 +25,8 @@
 
 type t = Cache.Key.t
 
-(** Version component of every exact-tier key, and of the static tier's
-    block key. *)
+(** Version component of the exact tier's ["analysis"] key and of the
+    static tier's ["block"] key. *)
 val analysis_version : int
 
 (** Version component of every ["block"] key; bump when the static
@@ -40,27 +40,19 @@ val cpu : Cpu.t -> t
 (** Digest of a power model: [Cache.Key.of_value pa], memoized. *)
 val poweran : Poweran.t -> t
 
-(** The ["symtree"] key of Algorithm 1's execution tree. It covers the
-    netlist, the image and the exploration knobs, but not the power
-    context or the loop bound, so reruns that only change those reuse
-    the tree. *)
-val tree :
+(** The ["analysis"] key of a whole exact-tier result: Algorithm 1's
+    inputs (the CPU, the image and the exploration knobs) and
+    Algorithm 2's (the power context and the loop bound). *)
+val analysis :
   ?version:int ->
   revisit_limit:int ->
   max_paths:int ->
   max_cycles_per_path:int ->
+  loop_bound:int ->
+  Poweran.t ->
   Cpu.t ->
   Isa.Asm.image ->
   t
-
-(** The ["analysis"] key of a whole exact-tier result: the tree key, the
-    power context and the loop bound. *)
-val analysis : ?version:int -> tree:t -> Poweran.t -> loop_bound:int -> t
-
-(** The base key of the Algorithm 2 memos ({!Peak_power.of_tree},
-    {!Peak_energy.of_tree}, which append what else they depend on): the
-    tree key and the power context. *)
-val algorithm2 : tree:t -> Poweran.t -> t
 
 (** The static tier's ["block"] key: the fragment limits, the CPU, the
     power context, the image words and the block's extent

@@ -53,7 +53,7 @@ let rec first_record = function
   | Gatesim.Trace.Fork { not_taken; _ } -> first_record not_taken
   | Gatesim.Trace.End_path | Gatesim.Trace.Seen _ -> None
 
-let of_tree_fresh pa (tree : Gatesim.Trace.tree) ~trace ~loop_bound =
+let of_tree pa (tree : Gatesim.Trace.tree) ~trace ~loop_bound =
   let period = Poweran.period pa in
   let bounded = ref 0 in
   let idx, total = record_offsets tree in
@@ -133,13 +133,3 @@ let of_tree_fresh pa (tree : Gatesim.Trace.tree) ~trace ~loop_bound =
     npe = (if cycles = 0 then 0. else energy /. float_of_int cycles);
     bounded_loops = !bounded;
   }
-
-let of_tree ?cache pa tree ~trace ~loop_bound =
-  match cache with
-  | None -> of_tree_fresh pa tree ~trace ~loop_bound
-  | Some (c, key) ->
-    (* the caller's key covers the tree and the power context; the loop
-       bound is this analysis's own knob *)
-    let key = Cache.Key.combine [ key; "loop_bound"; string_of_int loop_bound ] in
-    Cache.memo ~layer:Disk c ~ns:"peak-energy" ~key (fun () ->
-        of_tree_fresh pa tree ~trace ~loop_bound)

@@ -21,17 +21,11 @@ type result = {
     looping state's digest. *)
 exception Unbounded of string
 
-(** [of_tree ?cache pa tree ~trace ~loop_bound] — [trace] is the
-    tree's per-cycle peak power in {!Gatesim.Trace.flatten} order (the
+(** [of_tree pa tree ~trace ~loop_bound] — [trace] is the tree's
+    per-cycle peak power in {!Gatesim.Trace.flatten} order (the
     {!Peak_power} trace); each segment's energy is summed from it once.
-    Raises [Invalid_argument] if [trace] does not match [tree]. With
-    [cache = (c, key)], the result is memoized in [c], in the
-    {!Cache.Disk} layer; [key] must cover
-    the tree's inputs and the power context (see {!Key.algorithm2}),
-    and this module appends [loop_bound] itself — so reruns that only
-    change the loop bound reuse the same execution tree. *)
+    Raises [Invalid_argument] if [trace] does not match [tree]. *)
 val of_tree :
-  ?cache:Cache.t * Cache.Key.t ->
   Poweran.t ->
   Gatesim.Trace.tree ->
   trace:float array ->

@@ -14,24 +14,11 @@ type result = {
   peak_index : int;
 }
 
-let power pa cycles =
+let of_cycles pa cycles =
   let trace = Poweran.trace_power pa ~mode:`Max cycles in
   let peak, peak_index = Poweran.peak_of trace in
-  (trace, peak, peak_index)
-
-let of_cycles pa cycles =
-  let trace, peak, peak_index = power pa cycles in
   { flattened = cycles; trace; peak; peak_index }
 
-(* The memo stores the power trace and its peak, not the flattened
-   cycles: those are the tree's own records again, and flattening is
-   far cheaper than storing them twice. *)
-let of_tree ?cache pa tree =
+let of_tree pa tree =
   let cycles = Telemetry.span "flatten" (fun () -> Gatesim.Trace.flatten tree) in
-  let compute () = Telemetry.span "power-trace" (fun () -> power pa cycles) in
-  let trace, peak, peak_index =
-    match cache with
-    | None -> compute ()
-    | Some (c, key) -> Cache.memo ~layer:Disk c ~ns:"peak-power" ~key compute
-  in
-  { flattened = cycles; trace; peak; peak_index }
+  Telemetry.span "power-trace" (fun () -> of_cycles pa cycles)

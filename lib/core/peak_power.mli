@@ -15,10 +15,6 @@ type result = {
 
 val of_cycles : Poweran.t -> Gatesim.Trace.cycle array -> result
 
-(** [of_tree ?cache pa tree] — with [cache = (c, key)], the power
-    trace and its peak are memoized in [c] under [key], in the
-    {!Cache.Disk} layer (the caller keeps the whole result); the caller
-    must derive [key] from everything the result depends on (the tree's
-    inputs and the power context — see {!Key.algorithm2}). [flattened]
-    is rebuilt from [tree] on every call. *)
-val of_tree : ?cache:Cache.t * Cache.Key.t -> Poweran.t -> Gatesim.Trace.tree -> result
+(** [of_tree pa tree] — {!of_cycles} over the tree flattened in
+    {!Gatesim.Trace.flatten} order. *)
+val of_tree : Poweran.t -> Gatesim.Trace.tree -> result

@@ -503,7 +503,7 @@ let run ?pool e config =
     } )
 
 let concrete e ~is_end ~max_cycles on_cycle =
-  if Engine.cycle_index e <> 0 then invalid_arg "Sym.run_concrete: engine not fresh";
+  if Engine.cycle_index e <> 0 then invalid_arg "Sym.concrete: engine not fresh";
   do_reset e;
   let ports = Engine.ports e in
   let rec go n =

@@ -63,10 +63,6 @@ let or_ ctx a b =
   else if a = b then a
   else g2 ctx Netlist.Or2 a b
 
-let nand_ ctx a b =
-  if is_const ctx a || is_const ctx b || a = b then not_ ctx (and_ ctx a b)
-  else g2 ctx Netlist.Nand2 a b
-
 let nor_ ctx a b =
   if is_const ctx a || is_const ctx b || a = b then not_ ctx (or_ ctx a b)
   else g2 ctx Netlist.Nor2 a b

@@ -36,7 +36,6 @@ val const : ctx -> width:int -> int -> bus
 val not_ : ctx -> signal -> signal
 val and_ : ctx -> signal -> signal -> signal
 val or_ : ctx -> signal -> signal -> signal
-val nand_ : ctx -> signal -> signal -> signal
 val nor_ : ctx -> signal -> signal -> signal
 val xor_ : ctx -> signal -> signal -> signal
 val xnor_ : ctx -> signal -> signal -> signal

@@ -90,12 +90,6 @@ let scale lib k =
         });
   }
 
-(* Identity for cache keys; [of_cell] is a closure, so the signature is
-   the name (which every constructor parameterizes) plus the scalars. *)
-let signature lib =
-  Printf.sprintf "%s/%.17g/%.17g/%.17g" lib.lib_name lib.vdd
-    lib.wire_cap_per_fanout lib.clk_pin_energy
-
 let load_cap lib (nl : Netlist.t) net =
   let fanout = nl.Netlist.fanouts.(net) in
   let pins =
@@ -127,9 +121,6 @@ let leakage_power lib nl =
   Array.fold_left
     (fun acc g -> acc +. (lib.of_cell g.Netlist.cell).leakage)
     0. nl.Netlist.gates
-
-let clock_power lib nl ~period =
-  float_of_int (Netlist.dff_count nl) *. lib.clk_pin_energy /. period
 
 let liberty_text lib =
   let buf = Buffer.create 4096 in

@@ -35,13 +35,6 @@ val msp430f1610 : t
     (calibration knob). *)
 val scale : t -> float -> t
 
-(** Stable identity of the library for cache keys: name plus electrical
-    scalars. [t] holds a closure ([of_cell]) and must never be
-    marshaled; every public constructor encodes its parameters in
-    [lib_name] ([scale] appends [_x<k>]), so equal signatures imply
-    equal per-cell powers. *)
-val signature : t -> string
-
 (** [load_cap lib nl net] is the total capacitance driven by [net]:
     fanout pin caps plus wire load. *)
 val load_cap : t -> Netlist.t -> int -> float
@@ -62,10 +55,6 @@ val max_transition : t -> Netlist.t -> int -> Tri.t * Tri.t
 
 (** Static power of the whole netlist. *)
 val leakage_power : t -> Netlist.t -> float
-
-(** Clock-tree dynamic power: every flop's clock pin toggles each cycle
-    whether or not data changes. *)
-val clock_power : t -> Netlist.t -> period:float -> float
 
 (** Render the library in Liberty (.lib) format, so the synthetic cell
     data can be inspected with standard EDA tooling. *)

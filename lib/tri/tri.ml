@@ -24,7 +24,6 @@ let of_char = function
 
 let pp fmt t = Format.pp_print_char fmt (to_char t)
 let of_bool b = if b then One else Zero
-let to_bool = function Zero -> Some false | One -> Some true | X -> None
 let is_x = function X -> true | Zero | One -> false
 
 let lnot = function Zero -> One | One -> Zero | X -> X
@@ -61,7 +60,6 @@ module I = struct
   let zero = 0
   let one = 1
   let x = 2
-  let is_valid n = n >= 0 && n <= 2
 
   (* Lookup tables: index [a * 3 + b]. Branch-free inner loops matter in
      the levelized simulator. *)

@@ -15,9 +15,6 @@ val of_char : char -> t
 
 val of_bool : bool -> t
 
-(** [to_bool t] is [Some b] for a known value, [None] for [X]. *)
-val to_bool : t -> bool option
-
 val is_x : t -> bool
 
 (** {1 Kleene connectives} *)
@@ -48,7 +45,6 @@ module I : sig
   val zero : int
   val one : int
   val x : int
-  val is_valid : int -> bool
   val lnot : int -> int
   val land_ : int -> int -> int
   val lor_ : int -> int -> int

@@ -1,7 +1,7 @@
 (* Tests for the content-addressed analysis cache: key discipline
    (binary / config / version perturbation), corruption tolerance,
    single-flight under the domain pool, cached-vs-fresh determinism,
-   the store-once layout of an exact analysis, failed stores, and LRU
+   the one-entry layout of an exact analysis, failed stores, and LRU
    eviction. *)
 
 let tmpdir () =
@@ -57,48 +57,31 @@ let result_digest (a : Core.Analyze.t) =
 
 (* ---------------- key discipline ---------------- *)
 
-let tree_key ?version config cpu img =
-  Core.Key.tree ?version ~revisit_limit:config.Core.Analyze.revisit_limit
-    ~max_paths:config.Core.Analyze.max_paths
-    ~max_cycles_per_path:config.Core.Analyze.max_cycles_per_path cpu img
-
 let cache_key ?version ~config pa cpu img =
-  Core.Key.analysis ?version
-    ~tree:(tree_key ?version config cpu img)
-    pa ~loop_bound:config.Core.Analyze.loop_bound
+  Core.Key.analysis ?version ~revisit_limit:config.Core.Analyze.revisit_limit
+    ~max_paths:config.Core.Analyze.max_paths
+    ~max_cycles_per_path:config.Core.Analyze.max_cycles_per_path
+    ~loop_bound:config.Core.Analyze.loop_bound pa cpu img
 
 let test_key_perturbation () =
   let cpu, pa = Lazy.force env in
   let img = image 25 in
-  let tk = tree_key config cpu img in
   let ck = cache_key ~config pa cpu img in
-  (* flipping one immediate in the binary changes both key tiers *)
-  let img' = image 26 in
-  Alcotest.(check bool)
-    "binary flip changes tree key" true
-    (tk <> tree_key config cpu img');
+  (* flipping one immediate in the binary changes the key *)
   Alcotest.(check bool)
     "binary flip changes cache key" true
-    (ck <> cache_key ~config pa cpu img');
-  (* loop_bound is an Algorithm 2 knob: the exploration (tree) key must
-     NOT move, the whole-analysis key must *)
+    (ck <> cache_key ~config pa cpu (image 26));
+  (* an Algorithm 2 knob and an exploration knob both move it *)
   let config' = { config with Core.Analyze.loop_bound = 8 } in
-  Alcotest.(check string)
-    "loop_bound keeps the tree key" tk
-    (tree_key config' cpu img);
   Alcotest.(check bool)
     "loop_bound changes the cache key" true
     (ck <> cache_key ~config:config' pa cpu img);
-  (* an exploration knob moves both *)
   let config'' = { config with Core.Analyze.max_paths = 65 } in
   Alcotest.(check bool)
-    "max_paths changes the tree key" true
-    (tk <> tree_key config'' cpu img);
+    "max_paths changes the cache key" true
+    (ck <> cache_key ~config:config'' pa cpu img);
   (* bumping the code version invalidates everything *)
   let v = Core.Key.analysis_version + 1 in
-  Alcotest.(check bool)
-    "version bump changes the tree key" true
-    (tk <> tree_key ~version:v config cpu img);
   Alcotest.(check bool)
     "version bump changes the cache key" true
     (ck <> cache_key ~version:v ~config pa cpu img)
@@ -112,24 +95,16 @@ let test_key_formulas () =
   let img = image 25 in
   let d = Cache.Key.of_value and i = string_of_int in
   let cpu_d = d (cpu.Cpu.netlist, cpu.Cpu.ports) and pa_d = d pa in
-  let tree =
+  let analysis =
     Cache.Key.combine
       [
-        "symtree";
+        "analysis";
         i Core.Key.analysis_version;
         cpu_d;
         d img;
         i config.Core.Analyze.revisit_limit;
         i config.Core.Analyze.max_paths;
         i config.Core.Analyze.max_cycles_per_path;
-      ]
-  in
-  let analysis =
-    Cache.Key.combine
-      [
-        "analysis";
-        i Core.Key.analysis_version;
-        tree;
         pa_d;
         i config.Core.Analyze.loop_bound;
       ]
@@ -137,12 +112,8 @@ let test_key_formulas () =
   for _ = 1 to 2 do
     Alcotest.(check string) "cpu digest" cpu_d (Core.Key.cpu cpu);
     Alcotest.(check string) "power digest" pa_d (Core.Key.poweran pa);
-    Alcotest.(check string) "tree key" tree (tree_key config cpu img);
     Alcotest.(check string) "analysis key" analysis
-      (cache_key ~config pa cpu img);
-    Alcotest.(check string) "algorithm 2 key"
-      (Cache.Key.combine [ tree; pa_d ])
-      (Core.Key.algorithm2 ~tree pa)
+      (cache_key ~config pa cpu img)
   done
 
 (* The default and the msp430f1610 power contexts over one CPU, live at
@@ -216,29 +187,25 @@ let test_determinism_and_incremental () =
   let cold = Core.Analyze.run ~config ~cache:c1 pa cpu img in
   Alcotest.(check string)
     "cold = fresh" (result_digest fresh) (result_digest cold);
-  Alcotest.(check int) "cold run misses all tiers" 4 (Cache.counters c1).Cache.misses;
+  Alcotest.(check int) "cold run is one miss" 1 (Cache.counters c1).Cache.misses;
   (* warm, new Cache.t on the same directory = fresh process: whole
-     result served from disk, bit-identical *)
+     result served from disk, bit-identical, nothing explored *)
   let c2 = Cache.create ~dir () in
-  let warm = Core.Analyze.run ~config ~cache:c2 pa cpu img in
+  let warm, ran = explored (fun () -> Core.Analyze.run ~config ~cache:c2 pa cpu img) in
   Alcotest.(check string)
     "warm = fresh" (result_digest fresh) (result_digest warm);
-  (* the three stored artifacts, and the in-memory composite rebuilt
-     from them: nothing is explored or recomputed *)
-  Alcotest.(check int) "warm is three disk hits" 3 (Cache.counters c2).Cache.disk_hits;
-  Alcotest.(check int) "warm rebuilds only the composite" 1
-    (Cache.counters c2).Cache.misses;
-  (* changing loop_bound (an Algorithm 2 knob) must reuse the stored
-     exploration tree and peak-power artifacts, recompute the rest *)
+  Alcotest.(check (list int)) "warm is one disk hit, no miss" [ 1; 0 ]
+    [ (Cache.counters c2).Cache.disk_hits; (Cache.counters c2).Cache.misses ];
+  Alcotest.(check bool) "warm explores nothing" false ran;
+  (* changing only loop_bound is a different analysis: one miss, equal
+     to a fresh run under the new bound *)
   let config' = { config with Core.Analyze.loop_bound = 8 } in
   let c3 = Cache.create ~dir () in
   let warm' = Core.Analyze.run ~config:config' ~cache:c3 pa cpu img in
   let fresh' = Core.Analyze.run ~config:config' pa cpu img in
   Alcotest.(check string)
-    "incremental = fresh" (result_digest fresh') (result_digest warm');
-  let ct = Cache.counters c3 in
-  Alcotest.(check int) "tree + peak power reused from disk" 2 ct.Cache.disk_hits;
-  Alcotest.(check int) "analysis + peak energy recomputed" 2 ct.Cache.misses;
+    "new loop bound = fresh" (result_digest fresh') (result_digest warm');
+  Alcotest.(check int) "new loop bound is one miss" 1 (Cache.counters c3).Cache.misses;
   (* clear removes every entry *)
   Cache.clear c3;
   Alcotest.(check (pair int int)) "cleared" (0, 0) (Cache.disk_stats c3);
@@ -255,61 +222,62 @@ let cold_dir () =
   ignore (Core.Analyze.run ~config ~cache:(Cache.create ~dir ()) pa cpu img);
   (dir, Core.Analyze.run ~config pa cpu img)
 
-let artifacts = [ "symtree"; "peak-power"; "peak-energy" ]
-
+(* One entry per exact analysis, about the size of its tree alone:
+   [flattened] shares the tree's records, and Marshal keeps sharing. *)
 let test_store_once_layout () =
-  let dir, _ = cold_dir () in
+  let dir, fresh = cold_dir () in
   let rows = Cache.disk_stats_by_ns (Cache.create ~dir ()) in
-  Alcotest.(check (list string)) "one row per artifact, no analysis row"
-    (List.sort compare artifacts) (List.map fst rows);
-  let entries, tree_bytes = List.assoc "symtree" rows in
-  Alcotest.(check int) "one symtree entry" 1 entries;
-  let _, pp_bytes = List.assoc "peak-power" rows in
+  Alcotest.(check (list string)) "one analysis row" [ "analysis" ] (List.map fst rows);
+  let entries, bytes = List.assoc "analysis" rows in
+  Alcotest.(check int) "one analysis entry" 1 entries;
+  let tree_bytes = String.length (Marshal.to_string fresh.Core.Analyze.tree []) in
   Alcotest.(check bool)
-    (Printf.sprintf "peak-power %d B under 1%% of symtree %d B" pp_bytes tree_bytes)
+    (Printf.sprintf "entry %d B within 1%% of the tree's %d B" bytes tree_bytes)
     true
-    (100 * pp_bytes < tree_bytes);
+    (100 * bytes <= 101 * tree_bytes);
   rm_rf dir
 
 (* A fresh Cache.t on a populated directory is a fresh process: the
-   analysis is rebuilt from the three artifacts, equal to a fresh run,
-   with no exploration. *)
+   analysis loads from its one entry, equal to a fresh run, with no
+   exploration, and its flattened cycles are the loaded tree's own
+   records. *)
 let test_fresh_process_rebuild () =
   let cpu, pa = Lazy.force env in
   let dir, fresh = cold_dir () in
   let c = Cache.create ~dir () in
   let warm, ran = explored (fun () -> Core.Analyze.run ~config ~cache:c pa cpu (image 25)) in
-  Alcotest.(check string) "rebuilt = fresh" (result_digest fresh) (result_digest warm);
+  Alcotest.(check string) "loaded = fresh" (result_digest fresh) (result_digest warm);
   Alcotest.(check bool) "flattened cycles = fresh" true
     (warm.Core.Analyze.flattened = fresh.Core.Analyze.flattened);
-  Alcotest.(check int) "three disk hits" 3 (Cache.counters c).Cache.disk_hits;
+  let records = Gatesim.Trace.flatten warm.Core.Analyze.tree in
+  Alcotest.(check bool) "flattened shares the tree's records" true
+    (Array.length records > 0
+    && Array.for_all2 ( == ) warm.Core.Analyze.flattened records);
+  Alcotest.(check int) "one disk hit" 1 (Cache.counters c).Cache.disk_hits;
   Alcotest.(check bool) "no exploration" false ran;
   rm_rf dir
 
-(* Truncating any one artifact costs that artifact alone: the entry is
-   counted corrupt, recomputed to the fresh result, and written back. *)
+(* Truncating the entry costs a recomputation: it is counted corrupt,
+   recomputed to the fresh result, and written back. *)
 let test_corrupted_artifact () =
   let cpu, pa = Lazy.force env in
   let dir, fresh = cold_dir () in
-  List.iter
-    (fun ns ->
-      let file =
-        List.find
-          (fun f -> String.starts_with ~prefix:(ns ^ ".") (Filename.basename f))
-          (entry_files dir)
-      in
-      let size = In_channel.with_open_bin file in_channel_length in
-      Unix.truncate file (size / 2);
-      let c = Cache.create ~dir () in
-      let a = Core.Analyze.run ~config ~cache:c pa cpu (image 25) in
-      Alcotest.(check string) (ns ^ ": = fresh") (result_digest fresh) (result_digest a);
-      Alcotest.(check int) (ns ^ ": corrupt counted") 1 (Cache.counters c).Cache.corrupt;
-      Alcotest.(check int) (ns ^ ": repaired") size
-        (In_channel.with_open_bin file in_channel_length))
-    artifacts;
+  let file =
+    match entry_files dir with
+    | [ f ] -> f
+    | fs -> Alcotest.failf "expected one entry file, found %d" (List.length fs)
+  in
+  let size = In_channel.with_open_bin file in_channel_length in
+  Unix.truncate file (size / 2);
+  let c = Cache.create ~dir () in
+  let a = Core.Analyze.run ~config ~cache:c pa cpu (image 25) in
+  Alcotest.(check string) "= fresh" (result_digest fresh) (result_digest a);
+  Alcotest.(check int) "corrupt counted" 1 (Cache.counters c).Cache.corrupt;
+  Alcotest.(check int) "repaired" size
+    (In_channel.with_open_bin file in_channel_length);
   let c = Cache.create ~dir () in
   ignore (Core.Analyze.run ~config ~cache:c pa cpu (image 25));
-  Alcotest.(check int) "all three load again" 3 (Cache.counters c).Cache.disk_hits;
+  Alcotest.(check int) "loads again" 1 (Cache.counters c).Cache.disk_hits;
   rm_rf dir
 
 (* ---------------- failed stores ---------------- *)
@@ -384,37 +352,6 @@ let test_single_flight () =
   Alcotest.(check int) "everyone else joined or hit" 7
     (ct.Cache.mem_hits + ct.Cache.joined)
 
-(* A [Disk] entry keeps its in-flight slot while it computes, so it is
-   computed once; callers that waited load it from disk, and memory
-   never holds it. *)
-let test_disk_layer_single_flight () =
-  let dir = tmpdir () in
-  let c = Cache.create ~dir () in
-  let pool = Parallel.Pool.create ~jobs:4 in
-  let runs = Atomic.make 0 in
-  let k = Cache.Key.of_string "disk-flight" in
-  let results =
-    Parallel.Pool.map_list pool
-      (fun _ ->
-        Cache.memo ~layer:Cache.Disk c ~ns:"t" ~key:k (fun () ->
-            Atomic.incr runs;
-            Unix.sleepf 0.05;
-            42))
-      (List.init 8 Fun.id)
-  in
-  Alcotest.(check (list int)) "all callers get the value" (List.init 8 (fun _ -> 42)) results;
-  Alcotest.(check int) "computation ran exactly once" 1 (Atomic.get runs);
-  let ct = Cache.counters c in
-  Alcotest.(check (list int)) "one miss, one store, no memory hit" [ 1; 1; 0 ]
-    [ ct.Cache.misses; ct.Cache.stores; ct.Cache.mem_hits ];
-  Alcotest.(check int) "the others loaded it from disk" 7 ct.Cache.disk_hits;
-  (* without a directory, a [Disk] entry is kept in memory *)
-  let m = Cache.create () in
-  ignore (Cache.memo ~layer:Cache.Disk m ~ns:"t" ~key:k (fun () -> 1));
-  Alcotest.(check int) "memory-only: kept in memory" 1
-    (Cache.memo ~layer:Cache.Disk m ~ns:"t" ~key:k (fun () -> 2));
-  rm_rf dir
-
 (* ---------------- LRU eviction ---------------- *)
 
 let test_lru_eviction () =
@@ -433,8 +370,8 @@ let test_lru_eviction () =
   ignore (get 2);
   Alcotest.(check int) "resident key is a hit" 4 !calls
 
-(* The LRU holds one composite per exact analysis, not its artifacts:
-   two analyses fit in two entries. *)
+(* The LRU holds one entry per exact analysis: two analyses fit in two
+   entries. *)
 let test_lru_holds_composites () =
   let cpu, pa = Lazy.force env in
   let dir = tmpdir () in
@@ -474,8 +411,6 @@ let () =
       ( "concurrency",
         [
           Alcotest.test_case "single-flight" `Quick test_single_flight;
-          Alcotest.test_case "disk-layer single-flight" `Quick
-            test_disk_layer_single_flight;
         ] );
       ( "lru",
         [

@@ -649,10 +649,9 @@ let test_serve_oversized_closes () =
     | Error _ -> ()
 
 (* Two clients ask the identical question concurrently: the shared
-   cache's single-flight table must compute it once. One analysis is
-   several memo calls (analysis, symtree, peak-power, peak-energy), so
-   "computed once" means the concurrent pair produces exactly as many
-   misses as one solo analysis — not twice as many. *)
+   cache's single-flight table must compute it once: the concurrent
+   pair produces exactly as many misses as one solo analysis (one
+   "analysis" entry), not twice as many. *)
 let test_serve_single_flight () =
   let solo_misses =
     let cache = Cache.create () in

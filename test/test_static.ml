@@ -216,6 +216,51 @@ let test_block_cache_ns () =
   Alcotest.(check int) "clear wipes the block namespace too" 0 entries;
   (try Sys.rmdir dir with Sys_error _ -> ())
 
+(* A truncated block entry costs that block alone: a fresh process on
+   the directory counts it corrupt, recomputes it to the same bounds,
+   serves every other block from disk, and writes the entry back. *)
+let test_corrupted_block () =
+  let dir = Filename.temp_file "xbound-test-blockcorrupt" "" in
+  Sys.remove dir;
+  let b = Benchprogs.Bench.find "tea8" in
+  let img = Benchprogs.Bench.assemble b in
+  let run cache =
+    match
+      Static.Ipet.analyze ~cache ~name:"tea8"
+        ~loop_bound:b.Benchprogs.Bench.loop_bound (Lazy.force pa) cpu img
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Static.Cfg.error_to_string e)
+  in
+  let s1 = run (Cache.create ~dir ()) in
+  let file =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.concat_map (fun shard ->
+           let d = Filename.concat dir shard in
+           Sys.readdir d |> Array.to_list |> List.sort compare
+           |> List.map (Filename.concat d))
+    |> List.hd
+  in
+  let bytes = In_channel.with_open_bin file In_channel.input_all in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc (String.sub bytes 0 (String.length bytes / 2)));
+  let cache = Cache.create ~dir () in
+  let s2 = run cache in
+  Alcotest.(check int) "corrupt counted" 1 (Cache.counters cache).Cache.corrupt;
+  Alcotest.(check int) "every other block from disk"
+    (s2.Static.Ipet.s_blocks - 1) s2.Static.Ipet.s_cached_blocks;
+  List.iter
+    (fun (what, v1, v2) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %.17g = %.17g" what v1 v2)
+        true (Float.equal v1 v2))
+    [ ("peak power", s1.Static.Ipet.s_peak_power_w, s2.Static.Ipet.s_peak_power_w);
+      ("peak energy", s1.Static.Ipet.s_peak_energy_j, s2.Static.Ipet.s_peak_energy_j) ];
+  Alcotest.(check int) "entry rewritten" (String.length bytes)
+    (In_channel.with_open_bin file in_channel_length);
+  Cache.clear cache;
+  (try Sys.rmdir dir with Sys_error _ -> ())
+
 (* {1 Block key} *)
 
 (* The block key equals its formula over plain [Cache.Key.of_value]
@@ -344,6 +389,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "block namespace" `Slow test_block_cache_ns;
+          Alcotest.test_case "corrupted block" `Slow test_corrupted_block;
           Alcotest.test_case "block key" `Quick test_block_key;
         ] );
       ( "tier",
